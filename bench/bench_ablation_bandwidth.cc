@@ -18,7 +18,8 @@
 
 int main(int argc, char** argv) {
   using namespace tdg;
-  const index_t n = benchutil::arg_int(argc, argv, "n", 49152);
+  const benchutil::Args args(argc, argv, {"n", "nmeasured"});
+  const index_t n = args.get_int("n", 49152);
 
   benchutil::header("Ablation (H100 projection): classic 2-stage vs bandwidth b");
   const gpumodel::KernelModel vendor(gpumodel::h100_sxm(), true);
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
 
   benchutil::header("Measured CPU: stage-1 vs stage-2 time as b grows");
   Rng rng(21);
-  const index_t nm = benchutil::arg_int(argc, argv, "nmeasured", 1024);
+  const index_t nm = args.get_int("nmeasured", 1024);
   const Matrix a0 = random_symmetric(nm, rng);
   std::printf("n = %lld\n", static_cast<long long>(nm));
   std::printf("%6s | %12s | %12s | %10s\n", "b", "sy2sb (s)", "seq BC (s)",

@@ -15,8 +15,9 @@
 
 int main(int argc, char** argv) {
   using namespace tdg;
-  const index_t n = benchutil::arg_int(argc, argv, "n", 32768);
-  const index_t b = benchutil::arg_int(argc, argv, "b", 32);
+  const benchutil::Args args(argc, argv, {"n", "b", "nmeasured"});
+  const index_t n = args.get_int("n", 32768);
+  const index_t b = args.get_int("b", 32);
 
   benchutil::header("Ablation (H100 projection): DBBR time vs outer block k");
   const gpumodel::KernelModel ours(gpumodel::h100_sxm(), false);
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
 
   benchutil::header("Measured CPU: DBBR time vs k");
   Rng rng(22);
-  const index_t nm = benchutil::arg_int(argc, argv, "nmeasured", 1024);
+  const index_t nm = args.get_int("nmeasured", 1024);
   const Matrix a0 = random_symmetric(nm, rng);
   std::printf("n = %lld, b = 16\n", static_cast<long long>(nm));
   std::printf("%6s | %10s\n", "k", "DBBR (s)");

@@ -17,10 +17,11 @@
 
 int main(int argc, char** argv) {
   using namespace tdg;
+  const benchutil::Args args(argc, argv, {"n"});
 
   benchutil::header("Ablation (measured CPU): stage-2 strategies");
   Rng rng(31);
-  const index_t n = benchutil::arg_int(argc, argv, "n", 1536);
+  const index_t n = args.get_int("n", 1536);
   std::printf("n = %lld\n", static_cast<long long>(n));
   std::printf("%6s | %12s | %14s | %12s\n", "b", "direct (s)",
               "2-step (s)", "givens (s)");

@@ -66,11 +66,11 @@ double run_serial(void* p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int threads =
-      static_cast<int>(benchutil::arg_int(argc, argv, "threads", 8));
-  const index_t b = benchutil::arg_int(argc, argv, "b", 32);
-  const int reps = static_cast<int>(benchutil::arg_int(argc, argv, "reps", 3));
-  const bool hetero = benchutil::arg_int(argc, argv, "hetero", 1) != 0;
+  const benchutil::Args args(argc, argv, {"threads", "b", "reps", "hetero"});
+  const int threads = static_cast<int>(args.get_int("threads", 8));
+  const index_t b = args.get_int("b", 32);
+  const int reps = static_cast<int>(args.get_int("reps", 3));
+  const bool hetero = args.get_int("hetero", 1) != 0;
 
   benchutil::header("Batched EVD: eigh_batched vs serial eigh loop");
   std::printf("workers=%d  B=%lld  reps=%d (best-of)\n\n", threads,

@@ -22,7 +22,8 @@
 
 int main(int argc, char** argv) {
   using namespace tdg;
-  const index_t b = benchutil::arg_int(argc, argv, "b", 32);
+  const benchutil::Args args(argc, argv, {"b"});
+  const index_t b = args.get_int("b", 32);
 
   benchutil::header("Figure 11 (measured CPU): dense vs packed vs pipelined chase");
   Rng rng(4);

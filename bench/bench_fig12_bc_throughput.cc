@@ -14,8 +14,9 @@
 
 int main(int argc, char** argv) {
   using namespace tdg;
-  const index_t n = benchutil::arg_int(argc, argv, "n", 32768);
-  const index_t b = benchutil::arg_int(argc, argv, "b", 32);
+  const benchutil::Args args(argc, argv, {"n", "b"});
+  const index_t n = args.get_int("n", 32768);
+  const index_t b = args.get_int("b", 32);
   const auto spec = tdg::gpumodel::h100_sxm();
 
   benchutil::header("Figure 12: BC memory throughput vs parallel sweeps (H100 model)");

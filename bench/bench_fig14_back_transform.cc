@@ -19,7 +19,8 @@
 
 int main(int argc, char** argv) {
   using namespace tdg;
-  const index_t b = benchutil::arg_int(argc, argv, "b", 64);
+  const benchutil::Args args(argc, argv, {"b"});
+  const index_t b = args.get_int("b", 64);
 
   benchutil::header("Figure 14 (measured CPU): back-transform variants");
   Rng rng(6);

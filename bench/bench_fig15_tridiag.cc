@@ -63,14 +63,15 @@ void print_projection(const gpumodel::DeviceSpec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const benchutil::Args args(argc, argv, {"n_max"});
   benchutil::header("Figure 15 (measured CPU): direct vs classic 2-stage vs DBBR+pipelined BC");
   Rng rng(7);
-  const index_t nmax = benchutil::arg_int(argc, argv, "nmax", 1536);
+  const index_t n_max = args.get_int("n_max", 1536);
   std::printf("%6s | %12s | %12s | %12s (stage1+stage2)\n", "n", "direct (s)",
               "classic (s)", "proposed (s)");
   benchutil::rule();
   for (index_t n : {512, 1024, 1536}) {
-    if (n > nmax) break;
+    if (n > n_max) break;
     const Matrix a = random_symmetric(n, rng);
 
     TridiagOptions od;

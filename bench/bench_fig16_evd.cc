@@ -73,6 +73,7 @@ EvdProjection project(index_t n, bool vectors) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const benchutil::Args args(argc, argv, {"n"});
   benchutil::header("Figure 16 (H100 projection): end-to-end EVD");
   for (const bool vectors : {false, true}) {
     std::printf("\n-- %s eigenvectors --\n", vectors ? "WITH" : "WITHOUT");
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
 
   benchutil::header("Measured CPU: end-to-end eigh(), all three pipelines");
   Rng rng(9);
-  const index_t nm = benchutil::arg_int(argc, argv, "n", 640);
+  const index_t nm = args.get_int("n", 640);
   const Matrix a = random_symmetric(nm, rng);
   for (const bool vectors : {false, true}) {
     for (auto method :

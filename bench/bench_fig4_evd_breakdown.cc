@@ -18,7 +18,8 @@
 
 int main(int argc, char** argv) {
   using namespace tdg;
-  const index_t n = benchutil::arg_int(argc, argv, "n", 49152);
+  const benchutil::Args args(argc, argv, {"n", "nmeasured"});
+  const index_t n = args.get_int("n", 49152);
 
   const gpumodel::KernelModel vendor(gpumodel::h100_sxm(), true);
   const gpumodel::KernelModel ours(gpumodel::h100_sxm(), false);
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
 
   benchutil::header("Measured CPU breakdown (eigenvalues + vectors)");
   Rng rng(8);
-  const index_t nm = benchutil::arg_int(argc, argv, "nmeasured", 768);
+  const index_t nm = args.get_int("nmeasured", 768);
   const Matrix a = random_symmetric(nm, rng);
   for (auto method : {TridiagMethod::kDirect, TridiagMethod::kTwoStageClassic,
                       TridiagMethod::kTwoStageDbbr}) {

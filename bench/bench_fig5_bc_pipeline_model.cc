@@ -12,8 +12,9 @@
 
 int main(int argc, char** argv) {
   using namespace tdg;
-  const index_t n = benchutil::arg_int(argc, argv, "n", 65536);
-  const index_t b = benchutil::arg_int(argc, argv, "b", 32);
+  const benchutil::Args args(argc, argv, {"n", "b"});
+  const index_t n = args.get_int("n", 65536);
+  const index_t b = args.get_int("b", 32);
   const auto spec = gpumodel::h100_sxm();
 
   benchutil::header("Figure 5: modeled GPU bulge chasing vs parallel sweeps S");

@@ -20,7 +20,8 @@
 
 int main(int argc, char** argv) {
   using namespace tdg;
-  const index_t k = benchutil::arg_int(argc, argv, "k", 1024);
+  const benchutil::Args args(argc, argv, {"k", "kcpu"});
+  const index_t k = args.get_int("k", 1024);
 
   benchutil::header("Figure 8: custom square-block SYR2K vs cuBLAS (H100 projection)");
   const gpumodel::KernelModel vendor(gpumodel::h100_sxm(), true);
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
 
   benchutil::header("Measured CPU: reference vs square-block syr2k");
   Rng rng(2);
-  const index_t kc = benchutil::arg_int(argc, argv, "kcpu", 128);
+  const index_t kc = args.get_int("kcpu", 128);
   std::printf("k = %lld, block = 128\n", static_cast<long long>(kc));
   std::printf("%6s | %12s | %12s | %8s\n", "n", "ref GFLOPs", "square GFLOPs",
               "speedup");

@@ -18,8 +18,9 @@
 
 int main(int argc, char** argv) {
   using namespace tdg;
-  const index_t b = benchutil::arg_int(argc, argv, "b", 64);
-  const index_t k = benchutil::arg_int(argc, argv, "k", 1024);
+  const benchutil::Args args(argc, argv, {"b", "k", "n_max"});
+  const index_t b = args.get_int("b", 64);
+  const index_t k = args.get_int("k", 1024);
 
   benchutil::header("Figure 9 (measured CPU): sy2sb vs DBBR");
   Rng rng(3);
@@ -27,9 +28,9 @@ int main(int argc, char** argv) {
   std::printf("%6s | %12s | %12s | %8s\n", "n", "sy2sb (s)", "dbbr (s)",
               "speedup");
   benchutil::rule();
-  const index_t nmax = benchutil::arg_int(argc, argv, "nmax", 2048);
+  const index_t n_max = args.get_int("n_max", 2048);
   for (index_t n : {512, 1024, 1536, 2048}) {
-    if (n > nmax) break;
+    if (n > n_max) break;
     const Matrix a0 = random_symmetric(n, rng);
 
     Matrix a1 = a0;

@@ -22,13 +22,14 @@
 
 int main(int argc, char** argv) {
   using namespace tdg;
-  const index_t b = benchutil::arg_int(argc, argv, "b", 32);
-  const index_t k = benchutil::arg_int(argc, argv, "k", 256);
-  const index_t n_max = benchutil::arg_int(argc, argv, "n_max", 4096);
-  const index_t reps = std::max<index_t>(
-      1, benchutil::arg_int(argc, argv, "reps", 1));
-  const int threads = static_cast<int>(
-      benchutil::arg_int(argc, argv, "threads", default_threads()));
+  const benchutil::Args args(
+      argc, argv, {"b", "k", "n_max", "reps", "threads"});
+  const index_t b = args.get_int("b", 32);
+  const index_t k = args.get_int("k", 256);
+  const index_t n_max = args.get_int("n_max", 4096);
+  const index_t reps = std::max<index_t>(1, args.get_int("reps", 1));
+  const int threads =
+      static_cast<int>(args.get_int("threads", default_threads()));
 
   obs::arm_metrics();  // the overlap numbers come from taskgraph.* counters
   obs::Counter* busy = obs::Registry::global().counter("taskgraph.busy_us");

@@ -51,19 +51,15 @@ RunResult run_evd(ConstMatrixView a, const eig::EvdOptions& opts, int reps) {
 }
 
 int run(int argc, char** argv) {
-  const index_t n_max = benchutil::arg_int(argc, argv, "n_max", 2048);
-  const int reps =
-      static_cast<int>(benchutil::arg_int(argc, argv, "reps", 2));
+  const benchutil::Args args(argc, argv, {"n_max", "reps", "cache"});
+  const index_t n_max = args.get_int("n_max", 2048);
+  const int reps = static_cast<int>(args.get_int("reps", 2));
 
   // Persistent cache: flag > env > a local default. The planner reads the
   // same resolution order, so pointing both at one file is enough.
   std::string cache = "tdg_plan_cache.json";
   if (const char* env = std::getenv("TDG_PLAN_CACHE")) cache = env;
-  const std::string prefix = "--cache=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) cache = a.substr(prefix.size());
-  }
+  cache = args.get_str("cache", cache);
 
   benchutil::header("planner: seed defaults vs planned (full EVD)");
   std::printf("plan cache: %s\n", cache.c_str());

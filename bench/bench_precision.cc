@@ -88,9 +88,9 @@ ModeRun run_mode(ConstMatrixView a, plan::EvdMode mode, int reps) {
 }
 
 int run(int argc, char** argv) {
-  const index_t n_max = benchutil::arg_int(argc, argv, "n_max", 2048);
-  const int reps =
-      static_cast<int>(benchutil::arg_int(argc, argv, "reps", 2));
+  const benchutil::Args args(argc, argv, {"n_max", "reps"});
+  const index_t n_max = args.get_int("n_max", 2048);
+  const int reps = static_cast<int>(args.get_int("reps", 2));
 
   benchutil::header("execution modes: fp64 standard vs mixed vs values-only");
   std::printf("%8s %10s %12s %10s %12s %8s %14s %10s\n", "n", "mode",

@@ -43,20 +43,22 @@ constexpr index_t kShapes[] = {48, 64, 64, 96, 96, 96, 128, 57};
 }  // namespace
 
 int main(int argc, char** argv) {
-  using benchutil::arg_int;
-
+  const benchutil::Args args(
+      argc, argv,
+      {"duration_s", "rate", "deadline_ms", "vectors", "queue", "window_ms",
+       "degrade_depth"});
   const double duration_s =
-      static_cast<double>(arg_int(argc, argv, "duration_s", 5));
-  const double rate = static_cast<double>(arg_int(argc, argv, "rate", 200));
+      static_cast<double>(args.get_int("duration_s", 5));
+  const double rate = static_cast<double>(args.get_int("rate", 200));
   const double deadline_ms =
-      static_cast<double>(arg_int(argc, argv, "deadline_ms", 0));
-  const bool vectors = arg_int(argc, argv, "vectors", 1) != 0;
+      static_cast<double>(args.get_int("deadline_ms", 0));
+  const bool vectors = args.get_int("vectors", 1) != 0;
 
   serve::ServeOptions sopts;
-  sopts.queue_capacity = arg_int(argc, argv, "queue", 256);
+  sopts.queue_capacity = args.get_int("queue", 256);
   sopts.coalesce_window_ms =
-      static_cast<double>(arg_int(argc, argv, "window_ms", 2));
-  sopts.degrade_queue_depth = arg_int(argc, argv, "degrade_depth", 32);
+      static_cast<double>(args.get_int("window_ms", 2));
+  sopts.degrade_queue_depth = args.get_int("degrade_depth", 32);
 
   // Pre-generate one matrix per shape; each submission copies it, so the
   // generator never sits on the submit path.

@@ -37,6 +37,7 @@ constexpr PaperRow kPaper[] = {
 
 int main(int argc, char** argv) {
   using namespace tdg;
+  const benchutil::Args args(argc, argv, {"n"});
   benchutil::header("Table 1: SYR2K throughput vs (n, k) — paper vs device model");
 
   const gpumodel::KernelModel h100(gpumodel::h100_sxm());
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
   }
 
   benchutil::header("Measured CPU reference syr2k (shape check: GFLOPs grow with k)");
-  const index_t n = benchutil::arg_int(argc, argv, "n", 1024);
+  const index_t n = args.get_int("n", 1024);
   Rng rng(1);
   std::printf("%6s | %10s | %10s\n", "k", "seconds", "GFLOPs");
   benchutil::rule();

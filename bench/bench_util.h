@@ -5,7 +5,12 @@
 // projections at paper scale. EXPERIMENTS.md collects the comparisons.
 #pragma once
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -117,25 +122,75 @@ inline double syr2k_flops(index_t n, index_t k) {
          static_cast<double>(k);
 }
 
-/// Parse "--name=value" style integer flags; returns fallback when absent.
-inline index_t arg_int(int argc, char** argv, const std::string& name,
-                       index_t fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) {
-      return static_cast<index_t>(std::stoll(a.substr(prefix.size())));
+/// Strict parser for the benches' "--name=value" flags. Each bench names
+/// every flag it accepts; an argument that is not one of them, a repeated
+/// flag or a malformed value prints a message and exits with code 2, so a
+/// typo never silently benchmarks a default:
+///
+///   const benchutil::Args args(argc, argv, {"n_max", "reps"});
+///   const index_t n_max = args.get_int("n_max", 2048);
+class Args {
+ public:
+  Args(int argc, char** argv, std::initializer_list<std::string> accepted)
+      : prog_(argc > 0 ? argv[0] : "bench"), accepted_(accepted) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      const std::size_t eq = a.find('=');
+      if (a.rfind("--", 0) != 0 || eq == std::string::npos ||
+          !accepts(a.substr(2, eq - 2))) {
+        fail("unknown flag '" + a + "'");
+      }
+      if (!values_.emplace(a.substr(2, eq - 2), a.substr(eq + 1)).second) {
+        fail("repeated flag '" + a.substr(0, eq) + "'");
+      }
     }
   }
-  return fallback;
-}
 
-inline bool arg_flag(int argc, char** argv, const std::string& name) {
-  const std::string flag = "--" + name;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
+  /// Integer value of --name, or fallback when absent.
+  index_t get_int(const std::string& name, index_t fallback) const {
+    const std::string* v = find(name);
+    if (v == nullptr) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const long long x = std::strtoll(v->c_str(), &end, 10);
+    if (v->empty() || *end != '\0' || errno == ERANGE) {
+      fail("flag '--" + name + "' needs an integer, got '" + *v + "'");
+    }
+    return static_cast<index_t>(x);
   }
-  return false;
-}
+
+  /// String value of --name, or fallback when absent.
+  std::string get_str(const std::string& name,
+                      const std::string& fallback) const {
+    const std::string* v = find(name);
+    return v == nullptr ? fallback : *v;
+  }
+
+ private:
+  bool accepts(const std::string& name) const {
+    return std::find(accepted_.begin(), accepted_.end(), name) !=
+           accepted_.end();
+  }
+
+  const std::string* find(const std::string& name) const {
+    if (!accepts(name)) fail("flag '--" + name + "' is read but not declared");
+    const auto it = values_.find(name);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
+  [[noreturn]] void fail(const std::string& msg) const {
+    std::fprintf(stderr, "%s: %s; accepted flags:", prog_.c_str(),
+                 msg.c_str());
+    for (const std::string& a : accepted_) {
+      std::fprintf(stderr, " --%s", a.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
+
+  std::string prog_;
+  std::vector<std::string> accepted_;
+  std::map<std::string, std::string> values_;
+};
 
 }  // namespace tdg::benchutil

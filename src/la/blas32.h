@@ -1,10 +1,11 @@
 // FP32 BLAS subset backing the mixed-precision EVD engine.
 //
-// Same kernels, same cache blocking, and same determinism contract as the
-// FP64 engine in blas3.cc — packed K-panels, the 8-column register
-// micro-kernel, pool-parallel block grids whose shapes never depend on the
-// thread count — just in float, which doubles the SIMD width and halves
-// the memory traffic (the whole point of the FP32 compute stage).
+// The same determinism contract as the FP64 engine in blas3.cc —
+// pool-parallel block grids whose shapes never depend on the thread count —
+// in float, which doubles the SIMD width and halves the memory traffic (the
+// whole point of the FP32 compute stage). The kernels are the FP64
+// engine's earlier design: column-major packed K-panels with one barrier
+// per slab, the 8-column micro-kernel, and a column-block symm.
 //
 // Untraced: the op trace (common/trace.h) records the canonical FP64
 // pipeline only; the float engine is reached exclusively through

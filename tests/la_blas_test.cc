@@ -1,6 +1,9 @@
 // Unit tests for the dense BLAS substrate (src/la).
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -157,49 +160,152 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapeTest,
                                            std::tuple{129, 17, 300},
                                            std::tuple{40, 530, 70}));
 
-// The packed engine must agree with the naive reference for every transpose
-// combination and every beta class (overwrite, accumulate, scale), at
-// thread counts 1 and 4 — and the two thread counts must agree bitwise,
-// since the block schedule is thread-count invariant.
+// Reference loop in the unblocked kernel's per-element order: c <- beta * c
+// (zero for beta == 0), then c <- c + (alpha * op(B)(l, j)) * op(A)(i, l)
+// for l ascending. The blocked engine must reproduce it bit for bit.
+Matrix ordered_gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
+                    ConstMatrixView b, double beta, ConstMatrixView c0) {
+  const index_t m = c0.rows;
+  const index_t n = c0.cols;
+  const index_t k = (ta == Trans::kNo) ? a.cols : a.rows;
+  Matrix c(m, n);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < m; ++i) {
+      double x = (beta == 0.0) ? 0.0 : c0(i, j);
+      if (beta != 0.0 && beta != 1.0) x *= beta;
+      for (index_t l = 0; l < k; ++l) {
+        const double av = (ta == Trans::kNo) ? a(i, l) : a(l, i);
+        const double bv = (tb == Trans::kNo) ? b(l, j) : b(j, l);
+        const double coef = alpha * bv;
+        x += coef * av;
+      }
+      c(i, j) = x;
+    }
+  }
+  return c;
+}
+
+// Reference one-pass lower-triangle sweep for symm_lower: column l of A adds
+// (alpha b(l, j)) a(i, l) to rows i >= l and, through the mirrored entries,
+// alpha * s to row l, with s = sum over i > l of a(i, l) b(i, j) accumulated
+// from zero in ascending i.
+Matrix ordered_symm(double alpha, ConstMatrixView a, ConstMatrixView b,
+                    double beta, ConstMatrixView c0) {
+  const index_t n = a.rows;
+  const index_t w = c0.cols;
+  Matrix c(n, w);
+  for (index_t j = 0; j < w; ++j) {
+    for (index_t i = 0; i < n; ++i) {
+      c(i, j) = (beta == 0.0) ? 0.0 : c0(i, j);
+      if (beta != 0.0 && beta != 1.0) c(i, j) *= beta;
+    }
+  }
+  for (index_t l = 0; l < n; ++l) {
+    for (index_t j = 0; j < w; ++j) {
+      const double abl = alpha * b(l, j);
+      c(l, j) += abl * a(l, l);
+      double s = 0.0;
+      for (index_t i = l + 1; i < n; ++i) {
+        c(i, j) += abl * a(i, l);
+        s += a(i, l) * b(i, j);
+      }
+      c(l, j) += alpha * s;
+    }
+  }
+  return c;
+}
+
+// Bit-pattern equality (distinguishes -0.0 from 0.0, matches NaN payloads).
+::testing::AssertionResult BitwiseEqual(ConstMatrixView x, ConstMatrixView y) {
+  for (index_t j = 0; j < x.cols; ++j) {
+    for (index_t i = 0; i < x.rows; ++i) {
+      if (std::bit_cast<std::uint64_t>(x(i, j)) !=
+          std::bit_cast<std::uint64_t>(y(i, j))) {
+        return ::testing::AssertionFailure()
+               << "first difference at (" << i << "," << j << "): " << x(i, j)
+               << " vs " << y(i, j);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The packed engine must reproduce the ordered reference bit for bit for
+// every transpose pair and beta class (overwrite, accumulate, scale), at
+// thread counts 1 and 4. The shapes straddle the register tile (4 x 4), the
+// cache blocks (MC = 128, KC = 256, NC = 512) and the unpacked small-volume
+// cutoff (64^3 for NN).
 class GemmBetaThreadsTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(GemmBetaThreadsTest, PackedMatchesNaiveAndIsThreadInvariant) {
   const double beta = GetParam();
-  const index_t m = 130, n = 75, k = 280;  // crosses kMC and kKC
+  const double alpha = -1.3;
   Rng rng(91 + static_cast<int>(10 * beta));
-  for (const Trans ta : {Trans::kNo, Trans::kTrans}) {
-    for (const Trans tb : {Trans::kNo, Trans::kTrans}) {
-      const Matrix a = (ta == Trans::kNo) ? random_matrix(m, k, rng)
-                                          : random_matrix(k, m, rng);
-      const Matrix b = (tb == Trans::kNo) ? random_matrix(k, n, rng)
-                                          : random_matrix(n, k, rng);
-      const Matrix c0 = random_matrix(m, n, rng);
-      const Matrix ref = naive_gemm(ta, tb, 1.3, a.view(), b.view(), beta,
-                                    c0.view());
-      Matrix c1 = c0;
-      {
-        ThreadLimit serial(1);
-        la::gemm(ta, tb, 1.3, a.view(), b.view(), beta, c1.view());
+  const index_t shapes[][3] = {{1, 1, 1},      {3, 2, 5},      {4, 4, 4},
+                               {5, 7, 9},      {64, 64, 64},   {65, 64, 64},
+                               {128, 4, 256},  {127, 33, 255}, {129, 5, 257},
+                               {130, 75, 280}, {261, 3, 40},   {40, 530, 70},
+                               {133, 515, 261}};
+  for (const auto& [m, n, k] : shapes) {
+    for (const Trans ta : {Trans::kNo, Trans::kTrans}) {
+      for (const Trans tb : {Trans::kNo, Trans::kTrans}) {
+        const Matrix a = (ta == Trans::kNo) ? random_matrix(m, k, rng)
+                                            : random_matrix(k, m, rng);
+        const Matrix b = (tb == Trans::kNo) ? random_matrix(k, n, rng)
+                                            : random_matrix(n, k, rng);
+        const Matrix c0 = random_matrix(m, n, rng);
+        const Matrix ref =
+            ordered_gemm(ta, tb, alpha, a.view(), b.view(), beta, c0.view());
+        for (const int threads : {1, 4}) {
+          Matrix c = c0;
+          {
+            ThreadLimit limit(threads);
+            la::gemm(ta, tb, alpha, a.view(), b.view(), beta, c.view());
+          }
+          EXPECT_TRUE(BitwiseEqual(c.view(), ref.view()))
+              << m << "x" << n << "x" << k << " ta=" << (ta == Trans::kTrans)
+              << " tb=" << (tb == Trans::kTrans) << " beta=" << beta
+              << " threads=" << threads;
+        }
       }
-      Matrix c4 = c0;
-      {
-        ThreadLimit parallel(4);
-        la::gemm(ta, tb, 1.3, a.view(), b.view(), beta, c4.view());
-      }
-      EXPECT_LT(max_abs_diff(c1.view(), ref.view()), 1e-10)
-          << "beta=" << beta << " ta=" << (ta == Trans::kTrans)
-          << " tb=" << (tb == Trans::kTrans);
-      // Bitwise: disjoint output blocks, fixed accumulation order.
-      for (index_t j = 0; j < n; ++j)
-        for (index_t i = 0; i < m; ++i)
-          ASSERT_EQ(c1(i, j), c4(i, j))
-              << "thread-count variance at (" << i << "," << j << ")";
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Betas, GemmBetaThreadsTest,
                          ::testing::Values(0.0, 1.0, 0.5));
+
+// symm_lower splits its rows into blocks of 128: n = 1, one block minus
+// and plus one row, and several blocks, each with one, 32 and 70 output
+// columns (70 crosses the 32-column grid). The strict upper triangle holds
+// NaN, so reading it would show.
+TEST(Symm, MatchesOrderedSweepAtThreads1And4) {
+  Rng rng(402);
+  for (const index_t n : {1, 127, 128, 129, 300}) {
+    Matrix a = random_symmetric(n, rng);
+    for (index_t j = 1; j < n; ++j)
+      for (index_t i = 0; i < j; ++i)
+        a(i, j) = std::numeric_limits<double>::quiet_NaN();
+    for (const index_t w : {1, 32, 70}) {
+      const Matrix b = random_matrix(n, w, rng);
+      const Matrix c0 = random_matrix(n, w, rng);
+      for (const double beta : {0.0, 1.0, 0.5}) {
+        const Matrix ref =
+            ordered_symm(0.7, a.view(), b.view(), beta, c0.view());
+        for (const int threads : {1, 4}) {
+          Matrix c = c0;
+          {
+            ThreadLimit limit(threads);
+            la::symm_lower(0.7, a.view(), b.view(), beta, c.view());
+          }
+          EXPECT_TRUE(BitwiseEqual(c.view(), ref.view()))
+              << "n=" << n << " w=" << w << " beta=" << beta
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
 
 TEST(Gemm, BetaZeroOverwritesNanFreeAndKZeroScales) {
   Matrix a(4, 0), b(0, 5);

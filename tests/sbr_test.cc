@@ -246,42 +246,46 @@ TEST(SymBand, RejectsBadBandwidth) {
 // count, for both reductions. 0.0 tolerance everywhere: band matrix AND
 // reflector panels.
 TEST(Lookahead, DbbrBitwiseIdenticalToBarrierAcrossThreadCounts) {
-  const index_t n = 97;  // partial final panel exercises the fixup node
-  Rng rng(777);
-  const Matrix a0 = random_symmetric(n, rng);
+  // n = 97: the partial final panel exercises the fixup node. n = 300: the
+  // first panels' A V products span several symm_lower row blocks.
+  for (const index_t n : {index_t{97}, index_t{300}}) {
+    Rng rng(777);
+    const Matrix a0 = random_symmetric(n, rng);
 
-  sbr::BandReductionOptions base;
-  base.b = 8;
-  base.k = 32;
-  base.syr2k_block = 16;  // several tiles per trailing update
+    sbr::BandReductionOptions base;
+    base.b = 8;
+    base.k = 32;
+    base.syr2k_block = 16;  // several tiles per trailing update
 
-  // Barrier reference, single-threaded.
-  Matrix ref = a0;
-  sbr::BandFactor fref;
-  {
-    sbr::BandReductionOptions o = base;
-    o.threads = 1;
-    o.lookahead = 0;
-    fref = sbr::dbbr(ref.view(), o);
-  }
-
-  for (const int threads : {1, 2, 8}) {
-    for (const index_t la : {index_t{0}, index_t{1}}) {
-      Matrix a = a0;
+    // Barrier reference, single-threaded.
+    Matrix ref = a0;
+    sbr::BandFactor fref;
+    {
       sbr::BandReductionOptions o = base;
-      o.threads = threads;
-      o.lookahead = la;
-      const sbr::BandFactor f = sbr::dbbr(a.view(), o);
-      EXPECT_EQ(max_abs_diff(a.view(), ref.view()), 0.0)
-          << "threads=" << threads << " lookahead=" << la;
-      ASSERT_EQ(f.panels.size(), fref.panels.size());
-      for (size_t p = 0; p < f.panels.size(); ++p) {
-        EXPECT_EQ(f.panels[p].row0, fref.panels[p].row0);
-        EXPECT_EQ(max_abs_diff(f.panels[p].v.view(), fref.panels[p].v.view()),
-                  0.0)
-            << "panel " << p << " threads=" << threads << " la=" << la;
-        EXPECT_EQ(max_abs_diff(f.panels[p].t.view(), fref.panels[p].t.view()),
-                  0.0);
+      o.threads = 1;
+      o.lookahead = 0;
+      fref = sbr::dbbr(ref.view(), o);
+    }
+
+    for (const int threads : {1, 2, 8}) {
+      for (const index_t la : {index_t{0}, index_t{1}}) {
+        Matrix a = a0;
+        sbr::BandReductionOptions o = base;
+        o.threads = threads;
+        o.lookahead = la;
+        const sbr::BandFactor f = sbr::dbbr(a.view(), o);
+        EXPECT_EQ(max_abs_diff(a.view(), ref.view()), 0.0)
+            << "n=" << n << " threads=" << threads << " lookahead=" << la;
+        ASSERT_EQ(f.panels.size(), fref.panels.size());
+        for (size_t p = 0; p < f.panels.size(); ++p) {
+          EXPECT_EQ(f.panels[p].row0, fref.panels[p].row0);
+          EXPECT_EQ(
+              max_abs_diff(f.panels[p].v.view(), fref.panels[p].v.view()), 0.0)
+              << "n=" << n << " panel " << p << " threads=" << threads
+              << " la=" << la;
+          EXPECT_EQ(
+              max_abs_diff(f.panels[p].t.view(), fref.panels[p].t.view()), 0.0);
+        }
       }
     }
   }
