@@ -31,19 +31,25 @@ void apply_q1_conventional(const sbr::BandFactor& f, MatrixView c);
 /// C <- Q1 C via the fully merged I - W Y^T (paper Algorithm 3).
 void apply_q1_recursive(const sbr::BandFactor& f, MatrixView c);
 
-/// C <- Q1 C via group-wise merged W of width ~kw (paper Figure 13).
-void apply_q1_blocked(const sbr::BandFactor& f, index_t kw, MatrixView c);
+/// C <- Q1 C via group-wise merged W of width ~kw (paper Figure 13), in
+/// the scalar type of the factor (double or float).
+template <class T>
+void apply_q1_blocked(const sbr::BandFactorT<T>& f, index_t kw,
+                      MatrixViewT<T> c);
 
 /// A single merged WY pair: Q = I - W Y^T over global rows [row0, n).
-struct MergedWy {
+template <class T>
+struct MergedWyT {
   index_t row0 = 0;
-  Matrix w;
-  Matrix y;
+  MatrixT<T> w;
+  MatrixT<T> y;
 };
+using MergedWy = MergedWyT<double>;
 
 /// Merge consecutive panels [lo, hi) of `f` into one WY pair (exposed for
 /// tests and for the GPU-model trace of the merge GEMM shapes).
-MergedWy merge_panels(const sbr::BandFactor& f, std::size_t lo,
-                      std::size_t hi);
+template <class T>
+MergedWyT<T> merge_panels(const sbr::BandFactorT<T>& f, std::size_t lo,
+                          std::size_t hi);
 
 }  // namespace tdg::bt

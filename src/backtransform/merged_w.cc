@@ -12,11 +12,12 @@ namespace tdg::bt {
 namespace {
 
 // Base case: a single panel Q_p = I - V T V^T = I - (V T) V^T.
-MergedWy from_panel(const sbr::Panel& p) {
-  MergedWy m;
+template <class T>
+MergedWyT<T> from_panel(const sbr::PanelT<T>& p) {
+  MergedWyT<T> m;
   m.row0 = p.row0;
   m.y = p.v;
-  m.w = Matrix(p.v.rows(), p.v.cols());
+  m.w = MatrixT<T>(p.v.rows(), p.v.cols());
   la::gemm(Trans::kNo, Trans::kNo, 1.0, p.v.view(), p.t.view(), 0.0,
            m.w.view());
   return m;
@@ -24,7 +25,9 @@ MergedWy from_panel(const sbr::Panel& p) {
 
 // Combine: (I - Wl Yl^T)(I - Wr Yr^T) = I - [Wl | Wr - Wl (Yl^T Wr)] [Yl|Yr]^T.
 // Panels are ordered by ascending row0, so the left factor spans more rows.
-MergedWy combine(const MergedWy& l, const MergedWy& r, index_t n) {
+template <class T>
+MergedWyT<T> combine(const MergedWyT<T>& l, const MergedWyT<T>& r,
+                     index_t n) {
   TDG_CHECK(l.row0 <= r.row0, "combine: panels out of order");
   const index_t hl = n - l.row0;
   const index_t hr = n - r.row0;
@@ -32,10 +35,10 @@ MergedWy combine(const MergedWy& l, const MergedWy& r, index_t n) {
   const index_t kr = r.w.cols();
   const index_t off = r.row0 - l.row0;
 
-  MergedWy m;
+  MergedWyT<T> m;
   m.row0 = l.row0;
-  m.w = Matrix(hl, kl + kr);
-  m.y = Matrix(hl, kl + kr);
+  m.w = MatrixT<T>(hl, kl + kr);
+  m.y = MatrixT<T>(hl, kl + kr);
   copy(l.w.view(), m.w.block(0, 0, hl, kl));
   copy(l.y.view(), m.y.block(0, 0, hl, kl));
   copy(r.w.view(), m.w.block(off, kl, hr, kr));
@@ -43,7 +46,7 @@ MergedWy combine(const MergedWy& l, const MergedWy& r, index_t n) {
 
   // W_right' = W_r - W_l (Y_l^T W_r): the correction GEMMs the paper counts
   // as the extra flops of the recursive scheme.
-  Matrix mcorr(kl, kr);
+  MatrixT<T> mcorr(kl, kr);
   la::gemm(Trans::kTrans, Trans::kNo, 1.0, l.y.block(off, 0, hr, kl),
            r.w.view(), 0.0, mcorr.view());
   la::gemm(Trans::kNo, Trans::kNo, -1.0, l.w.view(), mcorr.view(), 1.0,
@@ -51,27 +54,30 @@ MergedWy combine(const MergedWy& l, const MergedWy& r, index_t n) {
   return m;
 }
 
-MergedWy merge_range(const sbr::BandFactor& f, std::size_t lo,
-                     std::size_t hi) {
+template <class T>
+MergedWyT<T> merge_range(const sbr::BandFactorT<T>& f, std::size_t lo,
+                         std::size_t hi) {
   if (hi - lo == 1) return from_panel(f.panels[lo]);
   const std::size_t mid = lo + (hi - lo) / 2;
-  const MergedWy l = merge_range(f, lo, mid);
-  const MergedWy r = merge_range(f, mid, hi);
+  const MergedWyT<T> l = merge_range(f, lo, mid);
+  const MergedWyT<T> r = merge_range(f, mid, hi);
   return combine(l, r, f.n);
 }
 
-void apply_merged(const MergedWy& m, index_t n, MatrixView c) {
+template <class T>
+void apply_merged(const MergedWyT<T>& m, index_t n, MatrixViewT<T> c) {
   // C(row0:, :) -= W (Y^T C(row0:, :)) — two fat GEMMs.
-  MatrixView csub = c.block(m.row0, 0, n - m.row0, c.cols);
-  Matrix t(m.y.cols(), c.cols);
+  MatrixViewT<T> csub = c.block(m.row0, 0, n - m.row0, c.cols);
+  MatrixT<T> t(m.y.cols(), c.cols);
   la::gemm(Trans::kTrans, Trans::kNo, 1.0, m.y.view(), csub, 0.0, t.view());
   la::gemm(Trans::kNo, Trans::kNo, -1.0, m.w.view(), t.view(), 1.0, csub);
 }
 
 }  // namespace
 
-MergedWy merge_panels(const sbr::BandFactor& f, std::size_t lo,
-                      std::size_t hi) {
+template <class T>
+MergedWyT<T> merge_panels(const sbr::BandFactorT<T>& f, std::size_t lo,
+                          std::size_t hi) {
   TDG_CHECK(lo < hi && hi <= f.panels.size(), "merge_panels: bad range");
   return merge_range(f, lo, hi);
 }
@@ -83,7 +89,9 @@ void apply_q1_recursive(const sbr::BandFactor& f, MatrixView c) {
   apply_merged(m, f.n, c);
 }
 
-void apply_q1_blocked(const sbr::BandFactor& f, index_t kw, MatrixView c) {
+template <class T>
+void apply_q1_blocked(const sbr::BandFactorT<T>& f, index_t kw,
+                      MatrixViewT<T> c) {
   TDG_CHECK(c.rows == f.n, "apply_q1_blocked: row mismatch");
   TDG_CHECK(kw >= 1, "apply_q1_blocked: kw must be positive");
   if (f.panels.empty()) return;
@@ -103,9 +111,18 @@ void apply_q1_blocked(const sbr::BandFactor& f, index_t kw, MatrixView c) {
     ranges.emplace_back(lo, std::min(np, lo + group));
   }
   for (auto it = ranges.rbegin(); it != ranges.rend(); ++it) {
-    const MergedWy m = merge_panels(f, it->first, it->second);
+    const MergedWyT<T> m = merge_panels(f, it->first, it->second);
     apply_merged(m, f.n, c);
   }
 }
+
+#define TDG_INSTANTIATE_MERGED_W(T)                                          \
+  template MergedWyT<T> merge_panels<T>(const sbr::BandFactorT<T>&,         \
+                                        std::size_t, std::size_t);          \
+  template void apply_q1_blocked<T>(const sbr::BandFactorT<T>&, index_t,    \
+                                    MatrixViewT<T>);
+TDG_INSTANTIATE_MERGED_W(double)
+TDG_INSTANTIATE_MERGED_W(float)
+#undef TDG_INSTANTIATE_MERGED_W
 
 }  // namespace tdg::bt

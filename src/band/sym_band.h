@@ -13,54 +13,62 @@
 //
 // Bulge chasing temporarily creates fill-in up to 2b below the diagonal, so
 // the container's storage bandwidth `kd` can exceed the logical bandwidth.
+// The container is a template on the scalar type, like la/matrix.h.
 #pragma once
 
+#include <type_traits>
 #include <vector>
 
 #include "la/matrix.h"
 
 namespace tdg {
 
-class SymBandMatrix {
+template <class T>
+class SymBandMatrixT {
  public:
-  SymBandMatrix() = default;
+  SymBandMatrixT() = default;
 
   /// n x n symmetric band matrix with storage bandwidth kd (entries with
   /// i - j in [0, kd] are representable), zero-initialised.
-  SymBandMatrix(index_t n, index_t kd);
+  SymBandMatrixT(index_t n, index_t kd);
 
   index_t n() const { return n_; }
   index_t kd() const { return kd_; }
 
   /// Entry (i, j) with i >= j and i - j <= kd.
-  double& at(index_t i, index_t j) {
+  T& at(index_t i, index_t j) {
     return data_[static_cast<std::size_t>(i - j) +
                  static_cast<std::size_t>(j) * (kd_ + 1)];
   }
-  double at(index_t i, index_t j) const {
+  T at(index_t i, index_t j) const {
     return data_[static_cast<std::size_t>(i - j) +
                  static_cast<std::size_t>(j) * (kd_ + 1)];
   }
 
   /// Entry in either triangle; zero outside the stored band.
-  double sym_at(index_t i, index_t j) const;
+  T sym_at(index_t i, index_t j) const;
 
-  double* data() { return data_.data(); }
-  const double* data() const { return data_.data(); }
+  T* data() { return data_.data(); }
+  const T* data() const { return data_.data(); }
 
   /// Dense n x n symmetric matrix with the band contents.
-  Matrix to_dense() const;
+  MatrixT<T> to_dense() const;
 
  private:
   index_t n_ = 0;
   index_t kd_ = 0;
-  std::vector<double> data_;
+  std::vector<T> data_;
 };
+
+using SymBandMatrix = SymBandMatrixT<double>;
 
 /// Extract the lower band (bandwidth b) of dense symmetric `a` (lower
 /// triangle is the source of truth) into packed storage with storage
-/// bandwidth kd >= b (extra room for bulge fill-in).
-SymBandMatrix extract_band(ConstMatrixView a, index_t b, index_t kd);
+/// bandwidth kd >= b (extra room for bulge fill-in). T, the scalar type of
+/// `a` and of the result, is named at the call unless it is double.
+template <class T = double>
+SymBandMatrixT<T> extract_band(std::type_identity_t<ConstMatrixViewT<T>> a,
+                               index_t b, index_t kd);
 
 /// Largest |entry| of the lower triangle of `a` strictly outside bandwidth b
 /// (i - j > b). Zero means `a` is a band matrix of bandwidth b.

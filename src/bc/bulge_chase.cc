@@ -11,13 +11,14 @@ struct NoWait {
 };
 
 template <class Acc>
-void chase_all_sequential(const Acc& acc, index_t b, ChaseLog* log) {
+void chase_all_sequential(const Acc& acc, index_t b,
+                          ChaseLogT<typename Acc::value_type>* log) {
   const index_t n = acc.n();
   if (log != nullptr) {
     log->n = n;
     log->b = b;
     log->sweeps.assign(static_cast<std::size_t>(std::max<index_t>(n - 2, 0)),
-                       SweepReflectors{});
+                       {});
   }
   if (b <= 1) return;  // bandwidth 1 is already tridiagonal
   obs::Span span("bulge_chase");
@@ -25,7 +26,7 @@ void chase_all_sequential(const Acc& acc, index_t b, ChaseLog* log) {
   span.attr("b", b);
   span.attr("nsweeps", std::max<index_t>(n - 2, 0));
   for (index_t i = 0; i + 2 < n; ++i) {
-    SweepReflectors* sl =
+    auto* sl =
         (log != nullptr) ? &log->sweeps[static_cast<std::size_t>(i)] : nullptr;
     chase_sweep(acc, b, i, sl, NoWait{}, NoWait{});
   }
@@ -33,14 +34,18 @@ void chase_all_sequential(const Acc& acc, index_t b, ChaseLog* log) {
 
 }  // namespace
 
-void chase_dense(MatrixView a, index_t b, ChaseLog* log) {
+template <class T>
+void chase_dense(MatrixViewT<T> a, index_t b,
+                 std::type_identity_t<ChaseLogT<T>>* log) {
   TDG_CHECK(a.rows == a.cols, "chase_dense: matrix must be square");
   TDG_CHECK(b >= 1, "chase_dense: bandwidth must be positive");
   DenseLowerAccessor acc{a};
   chase_all_sequential(acc, b, log);
 }
 
-void chase_packed(SymBandMatrix& band, index_t b, ChaseLog* log) {
+template <class T>
+void chase_packed(SymBandMatrixT<T>& band, index_t b,
+                  std::type_identity_t<ChaseLogT<T>>* log) {
   TDG_CHECK(b >= 1, "chase_packed: bandwidth must be positive");
   TDG_CHECK(band.kd() >= std::min(2 * b, band.n() - 1),
             "chase_packed: storage bandwidth must be >= 2b for bulge room");
@@ -59,7 +64,8 @@ void extract_tridiag(ConstMatrixView a, std::vector<double>& d,
   }
 }
 
-void extract_tridiag(const SymBandMatrix& band, std::vector<double>& d,
+template <class T>
+void extract_tridiag(const SymBandMatrixT<T>& band, std::vector<double>& d,
                      std::vector<double>& e) {
   const index_t n = band.n();
   d.assign(static_cast<std::size_t>(n), 0.0);
@@ -69,6 +75,15 @@ void extract_tridiag(const SymBandMatrix& band, std::vector<double>& d,
     if (i + 1 < n) e[static_cast<std::size_t>(i)] = band.at(i + 1, i);
   }
 }
+
+#define TDG_INSTANTIATE_CHASE(T)                                             \
+  template void chase_dense<T>(MatrixViewT<T>, index_t, ChaseLogT<T>*);     \
+  template void chase_packed<T>(SymBandMatrixT<T>&, index_t, ChaseLogT<T>*); \
+  template void extract_tridiag<T>(const SymBandMatrixT<T>&,                \
+                                   std::vector<double>&, std::vector<double>&);
+TDG_INSTANTIATE_CHASE(double)
+TDG_INSTANTIATE_CHASE(float)
+#undef TDG_INSTANTIATE_CHASE
 
 void apply_q2_left(const ChaseLog& log, MatrixView c) {
   TDG_CHECK(c.rows == log.n, "apply_q2_left: row mismatch");

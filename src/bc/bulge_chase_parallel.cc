@@ -91,13 +91,14 @@ class SpinDeadline {
 
 template <class Acc>
 void chase_all_parallel(const Acc& acc, index_t b,
-                        const ParallelChaseOptions& opts, ChaseLog* log) {
+                        const ParallelChaseOptions& opts,
+                        ChaseLogT<typename Acc::value_type>* log) {
   const index_t n = acc.n();
   const index_t nsweeps = std::max<index_t>(n - 2, 0);
   if (log != nullptr) {
     log->n = n;
     log->b = b;
-    log->sweeps.assign(static_cast<std::size_t>(nsweeps), SweepReflectors{});
+    log->sweeps.assign(static_cast<std::size_t>(nsweeps), {});
   }
   if (nsweeps == 0 || b <= 1) return;
 
@@ -226,9 +227,9 @@ void chase_all_parallel(const Acc& acc, index_t b,
                                                   std::memory_order_release);
         };
 
-        SweepReflectors* sl =
-            (log != nullptr) ? &log->sweeps[static_cast<std::size_t>(i)]
-                             : nullptr;
+        auto* sl = (log != nullptr)
+                       ? &log->sweeps[static_cast<std::size_t>(i)]
+                       : nullptr;
         {
           struct InFlight {
             std::atomic<int>& c;
@@ -265,8 +266,10 @@ void chase_all_parallel(const Acc& acc, index_t b,
 
 }  // namespace
 
-void chase_packed_parallel(SymBandMatrix& band, index_t b,
-                           const ParallelChaseOptions& opts, ChaseLog* log) {
+template <class T>
+void chase_packed_parallel(SymBandMatrixT<T>& band, index_t b,
+                           const ParallelChaseOptions& opts,
+                           std::type_identity_t<ChaseLogT<T>>* log) {
   TDG_CHECK(b >= 1, "chase_packed_parallel: bandwidth must be positive");
   TDG_CHECK(band.kd() >= std::min(2 * b, band.n() - 1),
             "chase_packed_parallel: storage bandwidth must be >= 2b");
@@ -274,12 +277,24 @@ void chase_packed_parallel(SymBandMatrix& band, index_t b,
   chase_all_parallel(acc, b, opts, log);
 }
 
-void chase_dense_parallel(MatrixView a, index_t b,
-                          const ParallelChaseOptions& opts, ChaseLog* log) {
+template <class T>
+void chase_dense_parallel(MatrixViewT<T> a, index_t b,
+                          const ParallelChaseOptions& opts,
+                          std::type_identity_t<ChaseLogT<T>>* log) {
   TDG_CHECK(a.rows == a.cols, "chase_dense_parallel: matrix must be square");
   TDG_CHECK(b >= 1, "chase_dense_parallel: bandwidth must be positive");
   DenseLowerAccessor acc{a};
   chase_all_parallel(acc, b, opts, log);
 }
+
+#define TDG_INSTANTIATE_CHASE_PARALLEL(T)                                    \
+  template void chase_packed_parallel<T>(                                   \
+      SymBandMatrixT<T>&, index_t, const ParallelChaseOptions&,             \
+      ChaseLogT<T>*);                                                       \
+  template void chase_dense_parallel<T>(                                    \
+      MatrixViewT<T>, index_t, const ParallelChaseOptions&, ChaseLogT<T>*);
+TDG_INSTANTIATE_CHASE_PARALLEL(double)
+TDG_INSTANTIATE_CHASE_PARALLEL(float)
+#undef TDG_INSTANTIATE_CHASE_PARALLEL
 
 }  // namespace tdg::bc

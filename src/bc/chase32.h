@@ -1,43 +1,24 @@
-// FP32 stage-2 bulge chasing for the mixed-precision EVD engine: a float
-// port of the sequential dense-layout chase (bulge_chase.h, chase_dense)
-// with its own reflector log and Q2 application. The float chase always
-// runs on the dense-embedded band — the O(n^2 b) stage is not the
-// mixed-precision bottleneck, so the packed-layout and pipelined variants
-// stay FP64-only.
+// FP32 spellings of the bulge chase and its Q2 application, kept for the
+// benchmark's mixed-precision replay (perfbench/src/evd_workloads.cc).
+// Each forwards onto a generic stage: the pipelined chase (here on the
+// dense layout the replay reads back, bitwise identical to the packed
+// chase the mixed-precision engine runs) and the blocked Q2 application.
 #pragma once
 
-#include <vector>
-
+#include "backtransform/apply_q2_blocked.h"
+#include "bc/bulge_chase_parallel.h"
 #include "la/matrix32.h"
 
 namespace tdg::bc {
 
-/// One float chase reflector (v(0) = 1 implicit, tail in the sweep pool).
-struct Reflector32 {
-  index_t row0 = 0;
-  index_t len = 0;
-  float tau = 0.0f;
-  index_t voff = 0;
-};
+using ChaseLog32 = ChaseLogT<float>;
 
-struct SweepReflectors32 {
-  std::vector<Reflector32> steps;
-  std::vector<float> vpool;
-};
+inline void chase_dense_f(MatrixViewF a, index_t b, ChaseLog32* log) {
+  chase_dense_parallel(a, b, {}, log);
+}
 
-/// All reflectors of a float chase: T = Q2^T B Q2.
-struct ChaseLog32 {
-  index_t n = 0;
-  index_t b = 0;
-  std::vector<SweepReflectors32> sweeps;
-};
-
-/// Sequential float bulge chase of a dense-embedded band matrix; on return
-/// the lower triangle of `a` is tridiagonal. `log` (optional) receives the
-/// reflectors for the Q2 back transformation.
-void chase_dense_f(MatrixViewF a, index_t b, ChaseLog32* log);
-
-/// C <- Q2 * C with the logged float reflectors.
-void apply_q2_left_f(const ChaseLog32& log, MatrixViewF c);
+inline void apply_q2_left_f(const ChaseLog32& log, MatrixViewF c) {
+  bt::apply_q2_left_blocked(log, c);
+}
 
 }  // namespace tdg::bc

@@ -34,10 +34,13 @@ TridiagResult tridiag_direct(ConstMatrixView a, const TridiagOptions& opts) {
   return r;
 }
 
-TridiagResult tridiag_two_stage(ConstMatrixView a,
-                                const TridiagOptions& opts) {
-  const index_t n = a.rows;
-  TridiagResult r;
+}  // namespace
+
+template <class T>
+TridiagResultT<T> tridiagonalize_two_stage(MatrixViewT<T> work,
+                                           const TridiagOptions& opts) {
+  const index_t n = work.rows;
+  TridiagResultT<T> r;
   r.method = opts.method;
 
   const index_t b = std::max<index_t>(1, std::min(opts.b, n - 1));
@@ -45,9 +48,6 @@ TridiagResult tridiag_two_stage(ConstMatrixView a,
 
   // Both stages drive the parallel BLAS-3 engine at the requested width.
   ThreadLimit thread_scope(opts.threads);
-
-  Matrix work(n, n);
-  copy(a, work.view());
 
   WallTimer t;
   if (opts.method == TridiagMethod::kTwoStageDbbr) {
@@ -59,21 +59,21 @@ TridiagResult tridiag_two_stage(ConstMatrixView a,
     bo.lookahead = std::max<index_t>(0, opts.knobs.lookahead);
     bo.want_factors = opts.want_factors;
     r.k = bo.k;
-    r.stage1 = sbr::dbbr(work.view(), bo);
+    r.stage1 = sbr::dbbr(work, bo);
   } else {
     sbr::BandReductionOptions bo;
     bo.use_square_syr2k = opts.use_square_syr2k;
     bo.threads = opts.threads;
     bo.lookahead = std::max<index_t>(0, opts.knobs.lookahead);
     bo.want_factors = opts.want_factors;
-    r.stage1 = sbr::sy2sb(work.view(), b, bo);
+    r.stage1 = sbr::sy2sb(work, b, bo);
   }
   r.seconds_stage1 = t.seconds();
 
   // Stage 2 on the packed (Fig.-10) band layout.
   const index_t kd = std::min<index_t>(2 * b, n - 1);
-  SymBandMatrix band = extract_band(work.view(), b, kd);
-  bc::ChaseLog* log = opts.want_factors ? &r.stage2 : nullptr;
+  SymBandMatrixT<T> band = extract_band<T>(work, b, kd);
+  bc::ChaseLogT<T>* log = opts.want_factors ? &r.stage2 : nullptr;
 
   t.reset();
   if (opts.parallel_bc && opts.method == TridiagMethod::kTwoStageDbbr) {
@@ -89,8 +89,6 @@ TridiagResult tridiag_two_stage(ConstMatrixView a,
   bc::extract_tridiag(band, r.d, r.e);
   return r;
 }
-
-}  // namespace
 
 void check_lower_finite(ConstMatrixView a, const char* stage) {
   for (index_t j = 0; j < a.cols; ++j) {
@@ -131,11 +129,14 @@ TridiagResult tridiagonalize(ConstMatrixView a, const TridiagOptions& opts) {
   if (o.method == TridiagMethod::kDirect) {
     return tridiag_direct(a, o);
   }
-  return tridiag_two_stage(a, o);
+  Matrix work(a.rows, a.cols);
+  copy(a, work.view());
+  return tridiagonalize_two_stage(work.view(), o);
 }
 
-void apply_q(const TridiagResult& r, MatrixView c, const ApplyQOptions& opts,
-             ApplyQBreakdown* breakdown) {
+template <class T>
+void apply_q(const TridiagResultT<T>& r, MatrixViewT<T> c,
+             const ApplyQOptions& opts, ApplyQBreakdown* breakdown) {
   const plan::ProblemShape shape{c.rows, true, c.cols};
   plan::PlannerOptions popts;
   popts.threads = opts.threads;
@@ -168,5 +169,14 @@ void apply_q(const TridiagResult& r, MatrixView c, index_t bt_kw) {
   opts.knobs.bt_kw = bt_kw;
   apply_q(r, c, opts);
 }
+
+#define TDG_INSTANTIATE_TRIDIAG(T)                                           \
+  template TridiagResultT<T> tridiagonalize_two_stage<T>(                   \
+      MatrixViewT<T>, const TridiagOptions&);                               \
+  template void apply_q<T>(const TridiagResultT<T>&, MatrixViewT<T>,        \
+                           const ApplyQOptions&, ApplyQBreakdown*);
+TDG_INSTANTIATE_TRIDIAG(double)
+TDG_INSTANTIATE_TRIDIAG(float)
+#undef TDG_INSTANTIATE_TRIDIAG
 
 }  // namespace tdg

@@ -70,11 +70,14 @@ struct TridiagOptions {
   /// bitwise-neutral either way); the solver / back-transform knobs pass
   /// through untouched, folded into the merged knob vector by the eigh*
   /// drivers at plan::resolve_and_validate() (lowest precedence, below
-  /// EvdOptions::knobs and the deprecated loose fields).
+  /// EvdOptions::knobs).
   plan::Knobs knobs;
 };
 
-struct TridiagResult {
+/// A tridiagonalization and its factors, held in the scalar type T the
+/// reduction ran in (d and e are FP64 either way).
+template <class T>
+struct TridiagResultT {
   std::vector<double> d;  // diagonal of T
   std::vector<double> e;  // sub-diagonal of T
   /// Effective band width used (clamped to n-1).
@@ -85,15 +88,16 @@ struct TridiagResult {
   TridiagMethod method = TridiagMethod::kTwoStageDbbr;
 
   // Factors for back transformation (populated when want_factors):
-  sbr::BandFactor stage1;             // two-stage only
-  bc::ChaseLog stage2;                // two-stage only
-  Matrix direct_a;                    // direct only: reflectors in lower tri
-  std::vector<double> direct_taus;    // direct only
+  sbr::BandFactorT<T> stage1;  // two-stage only
+  bc::ChaseLogT<T> stage2;     // two-stage only
+  MatrixT<T> direct_a;         // direct only: reflectors in lower tri
+  std::vector<T> direct_taus;  // direct only
 
   // Phase wall-clock (seconds), for benches/examples.
   double seconds_stage1 = 0.0;  // SBR/DBBR, or the whole sytrd for kDirect
   double seconds_stage2 = 0.0;  // bulge chasing
 };
+using TridiagResult = TridiagResultT<double>;
 
 /// Throw Error(kInvalidInput) naming `stage` if the lower triangle of `a`
 /// contains a NaN or Inf; the error context carries the first bad (row,
@@ -105,14 +109,22 @@ void check_lower_finite(ConstMatrixView a, const char* stage);
 /// Reduce symmetric `a` (lower triangle read) to tridiagonal form.
 TridiagResult tridiagonalize(ConstMatrixView a, const TridiagOptions& opts);
 
+/// The two-stage reduction (opts.method kTwoStageClassic or kTwoStageDbbr)
+/// in place on the lower triangle of `work`, in work's scalar type. `opts`
+/// must already be resolved (plan::resolve; no knob left at 0).
+/// tridiagonalize() runs it on an FP64 copy of its input; the
+/// mixed-precision engine runs it on an FP32 one.
+template <class T>
+TridiagResultT<T> tridiagonalize_two_stage(MatrixViewT<T> work,
+                                           const TridiagOptions& opts);
+
 /// Back-transformation options (stage-2 chunked Q2 + stage-1 blocked Q1).
 struct ApplyQOptions {
   /// Resolution policy for knobs left at 0 below.
   PlanMode plan = PlanMode::kHeuristic;
   /// Consolidated knob sub-struct: knobs.bt_kw is the stage-1 blocked group
   /// width, knobs.q2_group the stage-2 reflector-chunk size (0 = auto).
-  /// Knobs::smlsiz is ignored by apply_q. The deprecated loose aliases
-  /// (bt_kw / q2_group) were removed after their one-release window.
+  /// Knobs::smlsiz is ignored by apply_q.
   plan::Knobs knobs;
   /// Thread budget for the back-transformation kernels (0 = inherit).
   int threads = 0;
@@ -130,9 +142,10 @@ struct ApplyQBreakdown {
 /// `bt_kw`: group width for the stage-1 blocked back transformation.
 void apply_q(const TridiagResult& r, MatrixView c, index_t bt_kw = 256);
 
-/// Same, with the full option set; `breakdown` (optional) receives the
-/// per-stage wall times.
-void apply_q(const TridiagResult& r, MatrixView c, const ApplyQOptions& opts,
-             ApplyQBreakdown* breakdown = nullptr);
+/// Same, with the full option set, in the scalar type of the factors;
+/// `breakdown` (optional) receives the per-stage wall times.
+template <class T>
+void apply_q(const TridiagResultT<T>& r, MatrixViewT<T> c,
+             const ApplyQOptions& opts, ApplyQBreakdown* breakdown = nullptr);
 
 }  // namespace tdg

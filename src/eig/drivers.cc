@@ -279,8 +279,9 @@ EvdResult eigh_impl(ConstMatrixView a, const EvdOptions& opts,
       res.eigenvectors = std::move(mo.eigenvectors);
       res.refine_iters = mo.refine.iters;
       res.refine_residual = mo.refine.residual;
-      res.seconds_tridiag = mo.seconds_fp32;
+      res.seconds_tridiag = mo.seconds_tridiag;
       res.seconds_solver = mo.seconds_solver;
+      res.seconds_backtransform = mo.seconds_backtransform;
       res.seconds_refine = mo.seconds_refine;
       record_workspace(res);
       return res;

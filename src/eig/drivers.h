@@ -39,10 +39,8 @@ struct EvdOptions {
   TridiagOptions tridiag;  // which tridiagonalization pipeline to run
   TridiagSolver solver = TridiagSolver::kDivideConquer;
   /// Consolidated solver / back-transform / refinement knobs (0 = auto,
-  /// filled from the resolved plan). The only spelling — the deprecated
-  /// loose aliases (smlsiz / bt_kw / q2_group) were removed after their
-  /// one-release window (README migration note). knobs.refine configures
-  /// the kMixedPrecision FP64 refinement stage.
+  /// filled from the resolved plan). knobs.refine configures the
+  /// kMixedPrecision FP64 refinement stage.
   plan::Knobs knobs;
   /// Screen the input for NaN/Inf up front and fail fast with a typed
   /// Error(kInvalidInput) instead of letting a bad entry surface as a
@@ -109,19 +107,22 @@ struct EvdResult {
   /// observed at completion. Meaningful when the caller resets the peak
   /// around a single solve; under concurrency it is the shared high water.
   std::size_t peak_workspace_bytes = 0;
-  double seconds_tridiag = 0.0;  // kMixedPrecision: the whole FP32 stage
+  /// Stage wall times. An accepted kMixedPrecision result records its FP32
+  /// reduction + chase and its FP32 Q2 + Q1 here too.
+  double seconds_tridiag = 0.0;
   double seconds_solver = 0.0;
   double seconds_backtransform = 0.0;
   double seconds_refine = 0.0;  // kMixedPrecision only
-  /// Per-phase measured/model breakdown; empty unless EvdOptions::profile
-  /// (standard-mode FP64 runs only — the FP32 engine is untraced).
+  /// Per-phase measured/model breakdown; empty unless EvdOptions::profile,
+  /// and empty for an accepted kMixedPrecision result (only the FP64
+  /// pipeline builds one).
   EvdProfile profile;
 };
 
-/// The merged knob sub-struct for an EvdOptions: the new `knobs` field with
-/// the deprecated loose fields (then tridiag.knobs) folded in underneath.
-/// Drivers call this once at entry; exposed so callers can inspect what a
-/// given options object will actually request.
+/// The merged knob sub-struct for an EvdOptions: `knobs`, with
+/// tridiag.knobs filling the fields it leaves at 0. Drivers call this once
+/// at entry; exposed so callers can inspect what a given options object
+/// will actually request.
 plan::Knobs merged_knobs(const EvdOptions& opts);
 
 /// Resolve an options object exactly as eigh() would — normalize the

@@ -1,16 +1,13 @@
 #include "eig/mixed.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
-#include "bc/chase32.h"
 #include "common/cancel.h"
 #include "common/timer.h"
+#include "core/tridiag.h"
 #include "eig/eig.h"
-#include "la/blas32.h"
 #include "obs/obs.h"
-#include "sbr/band32.h"
 
 namespace tdg::eig {
 
@@ -22,36 +19,25 @@ MixedOutcome eigh_mixed(ConstMatrixView a, const plan::ResolvedPipeline& cfg,
   obs::Span span("eigh_mixed");
   span.attr("n", n);
 
-  // --- FP32 stage 1+2: demote the lower triangle and reduce to tridiagonal.
+  // --- FP32 stages 1+2: the resolved two-stage reduction on a float copy
+  // of A. The one-stage sytrd has no float instantiation, so a plan that
+  // picked it (small n) runs DBBR.
   WallTimer t;
-  MatrixF af(n, n);
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = j; i < n; ++i) {
-      af(i, j) = static_cast<float>(a(i, j));
-    }
+  MatrixT<float> af = converted<float>(a);
+  TridiagOptions tri_opts = cfg.tridiag;
+  if (tri_opts.method == TridiagMethod::kDirect) {
+    tri_opts.method = TridiagMethod::kTwoStageDbbr;
   }
-  const index_t b = std::max<index_t>(1, std::min(cfg.tridiag.b, n - 1));
-  const index_t k = std::max(b, (cfg.tridiag.k / b) * b);
-  sbr::BandFactor32 f1 = sbr::dbbr_f(af.view(), b, k, /*want_factors=*/true);
+  TridiagResultT<float> tri = tridiagonalize_two_stage(af.view(), tri_opts);
+  out.seconds_tridiag = t.seconds();
   cancel::poll("solver");
-  bc::ChaseLog32 log;
-  bc::chase_dense_f(af.view(), b, &log);
-  out.seconds_fp32 = t.seconds();
 
-  // --- FP64 middle: promote (d, e) and solve the tridiagonal problem at
-  // full precision (cheap relative to the reduction; keeps the solver's
-  // deflation and convergence logic in its tested precision).
-  std::vector<double> d(static_cast<std::size_t>(n));
-  std::vector<double> e(static_cast<std::size_t>(std::max<index_t>(n - 1, 0)));
-  for (index_t i = 0; i < n; ++i) {
-    d[static_cast<std::size_t>(i)] = static_cast<double>(af(i, i));
-    if (i + 1 < n) {
-      e[static_cast<std::size_t>(i)] = static_cast<double>(af(i + 1, i));
-    }
-  }
-
+  // --- FP64 middle: solve the tridiagonal problem at full precision (cheap
+  // relative to the reduction; keeps the solver's deflation and convergence
+  // logic in its tested precision).
   t.reset();
-  out.eigenvalues = d;
+  out.eigenvalues = std::move(tri.d);
+  std::vector<double> e = std::move(tri.e);
   Matrix z(n, n);
   try {
     if (use_dc) {
@@ -71,11 +57,10 @@ MixedOutcome eigh_mixed(ConstMatrixView a, const plan::ResolvedPipeline& cfg,
 
   // --- FP32 back transformation: V = Q1 (Q2 Z).
   t.reset();
-  MatrixF zf = to_fp32(z.view());
-  bc::apply_q2_left_f(log, zf.view());
-  sbr::apply_q1_f(f1, zf.view());
-  out.eigenvectors = to_fp64(zf.view());
-  out.seconds_fp32 += t.seconds();
+  MatrixT<float> zf = converted<float>(z.view());
+  apply_q(tri, zf.view(), cfg.applyq);
+  out.eigenvectors = converted<double>(zf.view());
+  out.seconds_backtransform = t.seconds();
 
   // --- FP64 refinement with residual acceptance.
   t.reset();

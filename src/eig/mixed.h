@@ -1,9 +1,9 @@
 // The mixed-precision EVD engine (EvdOptions mode kMixedPrecision).
 //
-// Pipeline: demote A to FP32 -> float DBBR band reduction (sbr/band32.h)
-// -> float bulge chase (bc/chase32.h) -> FP64 tridiagonal solve (the
-// O(n^2)-to-O(n^3)-but-cheap middle, where FP32 eigenvalue error would be
-// amplified for free) -> float Q2/Q1 back transformation -> promote ->
+// Pipeline: demote A to FP32 -> the FP64 pipeline's two-stage reduction
+// (core/tridiag.h) and Q2/Q1 back transformation, instantiated at float,
+// around an FP64 tridiagonal solve (the O(n^2)-to-O(n^3)-but-cheap middle,
+// where FP32 eigenvalue error would be amplified for free) -> promote ->
 // FP64 Ogita–Aishima refinement (eig/refine.h).
 //
 // The engine never throws on numeric failure: a non-converged refinement
@@ -24,8 +24,9 @@ struct MixedOutcome {
   std::vector<double> eigenvalues;  // ascending
   Matrix eigenvectors;              // n x n
   RefineOutcome refine;             // iterations, residual, acceptance scale
-  double seconds_fp32 = 0.0;        // float reduction + back-transform time
+  double seconds_tridiag = 0.0;     // FP32 band reduction + bulge chase
   double seconds_solver = 0.0;      // FP64 tridiagonal solve time
+  double seconds_backtransform = 0.0;  // FP32 Q2 + Q1 application
   double seconds_refine = 0.0;      // FP64 refinement time
 };
 

@@ -11,7 +11,10 @@
 //           repair only — clustered directions resolve on later sweeps as
 //           the threshold tightens with the residual),
 //   X <- X + X E,  w <- lam.
-// Acceptance is residual-based and basis-invariant:
+// After the last sweep one symmetric orthogonalization, X <- X (I + R / 2),
+// removes what the residual test cannot see: two close eigenvalues whose
+// vectors are still slightly mixed (each residual is the mixing times the
+// gap). Acceptance is residual-based and basis-invariant:
 //   max_i ||A x_i - w_i x_i||_2 <= tol * ||A||_F.
 // Two sweeps take eps_fp32-accurate pairs to the FP64 floor; a failed
 // acceptance is reported (never thrown) so the driver can rerun in FP64.

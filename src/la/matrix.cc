@@ -6,20 +6,27 @@
 
 namespace tdg {
 
-void copy(ConstMatrixView src, MatrixView dst) {
+template <class T>
+void copy(std::type_identity_t<ConstMatrixViewT<T>> src, MatrixViewT<T> dst) {
   TDG_CHECK(src.rows == dst.rows && src.cols == dst.cols,
             "copy: shape mismatch");
   for (index_t j = 0; j < src.cols; ++j) {
     std::memcpy(dst.col(j), src.col(j),
-                static_cast<std::size_t>(src.rows) * sizeof(double));
+                static_cast<std::size_t>(src.rows) * sizeof(T));
   }
 }
 
-void fill(MatrixView a, double value) {
+template <class T>
+void fill(MatrixViewT<T> a, std::type_identity_t<T> value) {
   for (index_t j = 0; j < a.cols; ++j) {
     std::fill(a.col(j), a.col(j) + a.rows, value);
   }
 }
+
+template void copy<double>(ConstMatrixView, MatrixView);
+template void copy<float>(ConstMatrixViewT<float>, MatrixViewT<float>);
+template void fill<double>(MatrixView, double);
+template void fill<float>(MatrixViewT<float>, float);
 
 void symmetrize_from_lower(MatrixView a) {
   TDG_CHECK(a.rows == a.cols, "symmetrize_from_lower: view must be square");

@@ -1,12 +1,20 @@
 // Dense column-major matrix container and non-owning views.
 //
-// Everything in the library operates on FP64 (the precision the paper
-// targets). Views mirror the BLAS/LAPACK convention: a matrix is a pointer,
-// a row count, a column count and a leading dimension, so sub-blocks of a
-// larger matrix can be passed to any kernel without copying.
+// The containers and the kernels built on them are templates on the scalar
+// type T, instantiated for double and float. The library's numbers are FP64
+// (the precision the paper targets); the mixed-precision engine runs the
+// same kernels at float. Views mirror the BLAS/LAPACK convention: a matrix
+// is a pointer, a row count, a column count and a leading dimension, so
+// sub-blocks of a larger matrix can be passed to any kernel without copying.
+//
+// A kernel deduces T from its output argument only: the other parameters
+// are spelled std::type_identity_t<...>, so a double literal, a mutable view
+// or a Matrix::view() converts at the call as it would for a plain function.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -17,23 +25,24 @@ namespace tdg {
 using index_t = std::int64_t;
 
 /// Non-owning read-only view of a column-major matrix block.
-struct ConstMatrixView {
-  const double* data = nullptr;
+template <class T>
+struct ConstMatrixViewT {
+  const T* data = nullptr;
   index_t rows = 0;
   index_t cols = 0;
   index_t ld = 0;
 
-  const double& operator()(index_t i, index_t j) const {
+  const T& operator()(index_t i, index_t j) const {
     return data[i + static_cast<std::size_t>(j) * ld];
   }
 
   /// Column pointer (for BLAS-1 style iteration down a column).
-  const double* col(index_t j) const {
+  const T* col(index_t j) const {
     return data + static_cast<std::size_t>(j) * ld;
   }
 
   /// Sub-block starting at (i, j) of size m x n.
-  ConstMatrixView block(index_t i, index_t j, index_t m, index_t n) const {
+  ConstMatrixViewT block(index_t i, index_t j, index_t m, index_t n) const {
     TDG_CHECK(i >= 0 && j >= 0 && m >= 0 && n >= 0 && i + m <= rows &&
                   j + n <= cols,
               "block out of range");
@@ -42,44 +51,46 @@ struct ConstMatrixView {
 };
 
 /// Non-owning mutable view of a column-major matrix block.
-struct MatrixView {
-  double* data = nullptr;
+template <class T>
+struct MatrixViewT {
+  T* data = nullptr;
   index_t rows = 0;
   index_t cols = 0;
   index_t ld = 0;
 
-  double& operator()(index_t i, index_t j) const {
+  T& operator()(index_t i, index_t j) const {
     return data[i + static_cast<std::size_t>(j) * ld];
   }
 
-  double* col(index_t j) const {
-    return data + static_cast<std::size_t>(j) * ld;
-  }
+  T* col(index_t j) const { return data + static_cast<std::size_t>(j) * ld; }
 
-  MatrixView block(index_t i, index_t j, index_t m, index_t n) const {
+  MatrixViewT block(index_t i, index_t j, index_t m, index_t n) const {
     TDG_CHECK(i >= 0 && j >= 0 && m >= 0 && n >= 0 && i + m <= rows &&
                   j + n <= cols,
               "block out of range");
     return {data + i + static_cast<std::size_t>(j) * ld, m, n, ld};
   }
 
-  operator ConstMatrixView() const { return {data, rows, cols, ld}; }  // NOLINT
+  operator ConstMatrixViewT<T>() const {  // NOLINT
+    return {data, rows, cols, ld};
+  }
 };
 
 /// Owning column-major dense matrix.
-class Matrix {
+template <class T>
+class MatrixT {
  public:
-  Matrix() = default;
+  MatrixT() = default;
 
   /// m x n matrix, zero-initialised.
-  Matrix(index_t m, index_t n)
-      : m_(m), n_(n), d_(static_cast<std::size_t>(m) * n, 0.0) {
+  MatrixT(index_t m, index_t n)
+      : m_(m), n_(n), d_(static_cast<std::size_t>(m) * n, T(0)) {
     TDG_CHECK(m >= 0 && n >= 0, "matrix dimensions must be non-negative");
   }
 
-  static Matrix identity(index_t n) {
-    Matrix I(n, n);
-    for (index_t i = 0; i < n; ++i) I(i, i) = 1.0;
+  static MatrixT identity(index_t n) {
+    MatrixT I(n, n);
+    for (index_t i = 0; i < n; ++i) I(i, i) = T(1);
     return I;
   }
 
@@ -87,40 +98,60 @@ class Matrix {
   index_t cols() const { return n_; }
   index_t ld() const { return m_; }
 
-  double& operator()(index_t i, index_t j) {
+  T& operator()(index_t i, index_t j) {
     return d_[i + static_cast<std::size_t>(j) * m_];
   }
-  const double& operator()(index_t i, index_t j) const {
+  const T& operator()(index_t i, index_t j) const {
     return d_[i + static_cast<std::size_t>(j) * m_];
   }
 
-  double* data() { return d_.data(); }
-  const double* data() const { return d_.data(); }
+  T* data() { return d_.data(); }
+  const T* data() const { return d_.data(); }
 
-  MatrixView view() { return {d_.data(), m_, n_, m_}; }
-  ConstMatrixView view() const { return {d_.data(), m_, n_, m_}; }
-  MatrixView block(index_t i, index_t j, index_t m, index_t n) {
+  MatrixViewT<T> view() { return {d_.data(), m_, n_, m_}; }
+  ConstMatrixViewT<T> view() const { return {d_.data(), m_, n_, m_}; }
+  MatrixViewT<T> block(index_t i, index_t j, index_t m, index_t n) {
     return view().block(i, j, m, n);
   }
-  ConstMatrixView block(index_t i, index_t j, index_t m, index_t n) const {
+  ConstMatrixViewT<T> block(index_t i, index_t j, index_t m, index_t n) const {
     return view().block(i, j, m, n);
   }
 
-  void set_zero() { std::fill(d_.begin(), d_.end(), 0.0); }
+  void set_zero() { std::fill(d_.begin(), d_.end(), T(0)); }
 
  private:
   index_t m_ = 0;
   index_t n_ = 0;
   // Tracked so la::workspace_peak_bytes() sees every dense allocation
   // (see la/workspace.h); numerically the storage is a plain vector.
-  std::vector<double, la::TrackingAlloc<double>> d_;
+  std::vector<T, la::TrackingAlloc<T>> d_;
 };
 
+using ConstMatrixView = ConstMatrixViewT<double>;
+using MatrixView = MatrixViewT<double>;
+using Matrix = MatrixT<double>;
+
 /// Copy src into dst (dimensions must match).
-void copy(ConstMatrixView src, MatrixView dst);
+template <class T>
+void copy(std::type_identity_t<ConstMatrixViewT<T>> src, MatrixViewT<T> dst);
 
 /// Fill every entry of the view with the given value.
-void fill(MatrixView a, double value);
+template <class T>
+void fill(MatrixViewT<T> a, std::type_identity_t<T> value);
+
+/// A new matrix of scalar type T holding the entries of view `src`: exact
+/// when T is at least as wide as src's scalar, rounded to nearest when it
+/// is narrower.
+template <class T, class View>
+MatrixT<T> converted(const View& src) {
+  MatrixT<T> dst(src.rows, src.cols);
+  for (index_t j = 0; j < src.cols; ++j) {
+    for (index_t i = 0; i < src.rows; ++i) {
+      dst(i, j) = static_cast<T>(src(i, j));
+    }
+  }
+  return dst;
+}
 
 /// Mirror the strict lower triangle into the upper triangle (square views).
 void symmetrize_from_lower(MatrixView a);

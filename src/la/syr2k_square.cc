@@ -31,9 +31,12 @@ index_t syr2k_square_block_size(index_t n, index_t block) {
 
 namespace detail {
 
-void syr2k_square_tile(double alpha, ConstMatrixView a, ConstMatrixView b,
-                       double beta, MatrixView c, index_t block, index_t bi,
-                       index_t bj) {
+template <class T>
+void syr2k_square_tile(std::type_identity_t<T> alpha,
+                       std::type_identity_t<ConstMatrixViewT<T>> a,
+                       std::type_identity_t<ConstMatrixViewT<T>> b,
+                       std::type_identity_t<T> beta, MatrixViewT<T> c,
+                       index_t block, index_t bi, index_t bj) {
   const index_t n = c.rows;
   const index_t j0 = bj * block;
   const index_t i0 = bi * block;
@@ -41,24 +44,30 @@ void syr2k_square_tile(double alpha, ConstMatrixView a, ConstMatrixView b,
   const index_t ib = std::min(block, n - i0);
   if (bi == bj) {
     // Diagonal block: lower triangle only.
-    syr2k_lower_notrace(alpha, a.block(i0, 0, ib, a.cols),
-                        b.block(i0, 0, ib, b.cols), beta,
-                        c.block(i0, j0, ib, jb));
+    syr2k_lower_notrace<T>(alpha, a.block(i0, 0, ib, a.cols),
+                           b.block(i0, 0, ib, b.cols), beta,
+                           c.block(i0, j0, ib, jb));
   } else {
     // Off-diagonal block: two square GEMMs,
     //   C_blk = beta C_blk + alpha A_i B_j^T + alpha B_i A_j^T.
-    MatrixView cblk = c.block(i0, j0, ib, jb);
-    gemm_notrace(Trans::kNo, Trans::kTrans, alpha, a.block(i0, 0, ib, a.cols),
-                 b.block(j0, 0, jb, b.cols), beta, cblk);
-    gemm_notrace(Trans::kNo, Trans::kTrans, alpha, b.block(i0, 0, ib, b.cols),
-                 a.block(j0, 0, jb, a.cols), 1.0, cblk);
+    MatrixViewT<T> cblk = c.block(i0, j0, ib, jb);
+    gemm_notrace<T>(Trans::kNo, Trans::kTrans, alpha,
+                    a.block(i0, 0, ib, a.cols), b.block(j0, 0, jb, b.cols),
+                    beta, cblk);
+    gemm_notrace<T>(Trans::kNo, Trans::kTrans, alpha,
+                    b.block(i0, 0, ib, b.cols), a.block(j0, 0, jb, a.cols),
+                    T(1), cblk);
   }
 }
 
 }  // namespace detail
 
-void syr2k_lower_square(double alpha, ConstMatrixView a, ConstMatrixView b,
-                        double beta, MatrixView c, index_t block) {
+template <class T>
+void syr2k_lower_square(std::type_identity_t<T> alpha,
+                        std::type_identity_t<ConstMatrixViewT<T>> a,
+                        std::type_identity_t<ConstMatrixViewT<T>> b,
+                        std::type_identity_t<T> beta, MatrixViewT<T> c,
+                        index_t block) {
   TDG_CHECK(c.rows == c.cols, "syr2k_lower_square: C must be square");
   TDG_CHECK(a.rows == c.rows && b.rows == c.rows && a.cols == b.cols,
             "syr2k_lower_square: shape mismatch");
@@ -85,9 +94,21 @@ void syr2k_lower_square(double alpha, ConstMatrixView a, ConstMatrixView b,
       }
     }
     ThreadPool::global().parallel_for(0, nbd, [&](index_t bj) {
-      detail::syr2k_square_tile(alpha, a, b, beta, c, block, bj + d, bj);
+      detail::syr2k_square_tile<T>(alpha, a, b, beta, c, block, bj + d, bj);
     });
   }
 }
+
+#define TDG_INSTANTIATE_SYR2K_SQUARE(T)                                      \
+  template void syr2k_lower_square<T>(T, ConstMatrixViewT<T>,               \
+                                      ConstMatrixViewT<T>, T, MatrixViewT<T>, \
+                                      index_t);                             \
+  template void detail::syr2k_square_tile<T>(T, ConstMatrixViewT<T>,        \
+                                             ConstMatrixViewT<T>, T,        \
+                                             MatrixViewT<T>, index_t,       \
+                                             index_t, index_t);
+TDG_INSTANTIATE_SYR2K_SQUARE(double)
+TDG_INSTANTIATE_SYR2K_SQUARE(float)
+#undef TDG_INSTANTIATE_SYR2K_SQUARE
 
 }  // namespace tdg::la

@@ -1,6 +1,6 @@
 // Peak-workspace accounting for the dense containers.
 //
-// Every owning Matrix / MatrixF allocation routes through TrackingAlloc,
+// Every owning MatrixT allocation (FP64 or FP32) routes through TrackingAlloc,
 // which maintains a process-wide current-bytes counter and a monotone peak.
 // The counters are relaxed atomics — numerics are untouched and the
 // overhead is one add per container allocation, not per element — so the

@@ -4,24 +4,27 @@
 
 namespace tdg::lapack {
 
-double larfg(index_t n, double& alpha, double* x) {
-  if (n <= 1) return 0.0;
-  const double xnorm = la::nrm2(n - 1, x);
-  if (xnorm == 0.0) return 0.0;
+template <class T>
+T larfg(index_t n, T& alpha, T* x) {
+  if (n <= 1) return T(0);
+  const T xnorm = la::nrm2(n - 1, x);
+  if (xnorm == T(0)) return T(0);
 
-  double beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
+  T beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
   // Rescale for safety if beta is tiny (mirrors dlarfg's safmin loop in
   // spirit; one round is enough in FP64 for our magnitudes).
-  const double tau = (beta - alpha) / beta;
-  la::scal(n - 1, 1.0 / (alpha - beta), x);
+  const T tau = (beta - alpha) / beta;
+  la::scal(n - 1, T(1) / (alpha - beta), x);
   alpha = beta;
   return tau;
 }
 
-void larf_left(const double* v, double tau, MatrixView c, double* work) {
-  if (tau == 0.0 || c.rows == 0 || c.cols == 0) return;
+template <class T>
+void larf_left(std::type_identity_t<const T*> v, std::type_identity_t<T> tau,
+               MatrixViewT<T> c, std::type_identity_t<T*> work) {
+  if (tau == T(0) || c.rows == 0 || c.cols == 0) return;
   // work = C^T v ; C -= tau * v work^T
-  la::gemv(Trans::kTrans, 1.0, c, v, 0.0, work);
+  la::gemv<T>(Trans::kTrans, T(1), c, v, T(0), work);
   la::ger(-tau, v, work, c);
 }
 
@@ -31,5 +34,12 @@ void larf_right(const double* v, double tau, MatrixView c, double* work) {
   la::gemv(Trans::kNo, 1.0, c, v, 0.0, work);
   la::ger(-tau, work, v, c);
 }
+
+#define TDG_INSTANTIATE_HOUSEHOLDER(T)          \
+  template T larfg<T>(index_t, T&, T*);        \
+  template void larf_left<T>(const T*, T, MatrixViewT<T>, T*);
+TDG_INSTANTIATE_HOUSEHOLDER(double)
+TDG_INSTANTIATE_HOUSEHOLDER(float)
+#undef TDG_INSTANTIATE_HOUSEHOLDER
 
 }  // namespace tdg::lapack

@@ -1,14 +1,11 @@
 // plan::Knobs — the consolidated solver / back-transform knob sub-struct,
 // plus the execution-mode axis (EvdMode / Precision / RefineOptions).
 //
-// Before this header the three pipeline knobs that live downstream of the
-// tridiagonalization (the D&C base-case size and the two back-transform
-// group widths) were duplicated as loose fields on every option struct that
-// touched them. They are now one value type shared by EvdOptions,
-// TridiagOptions, ApplyQOptions, and BatchOptions, resolved exactly once at
-// driver entry by plan::resolve_and_validate() (src/plan/plan.h). The
-// deprecated loose aliases were removed after their one-release window
-// (README migration note); `knobs.*` is the only spelling.
+// The pipeline knobs that live downstream of the tridiagonalization (the
+// D&C base-case size and the two back-transform group widths) are one value
+// type shared by EvdOptions, TridiagOptions, ApplyQOptions, and
+// BatchOptions, resolved exactly once at driver entry by
+// plan::resolve_and_validate() (src/plan/plan.h).
 //
 // This header is dependency-free on purpose: core/tridiag.h and
 // plan/plan.h both include it without creating a cycle, and the struct is

@@ -1,43 +1,25 @@
-// FP32 stage-1 band reduction for the mixed-precision EVD engine: a float
-// port of the paper's double-blocking band reduction (dbbr.cc, barrier
-// schedule) plus the matching stage-1 back transformation.
-//
-// The FP64 engine keeps its look-ahead DAG and bitwise contracts; the float
-// port runs the barrier schedule only — the mixed-precision result is
-// refined (or recovered) in FP64 afterwards, so schedule-level bitwise
-// reproducibility buys nothing here and the simpler loop keeps the port
-// auditable against Algorithm 1.
+// FP32 spellings of the band reduction and its Q1 application, kept for
+// the benchmark's mixed-precision replay (perfbench/src/evd_workloads.cc).
+// Each forwards onto the generic stage the mixed-precision engine runs.
 #pragma once
 
-#include <vector>
-
+#include "backtransform/backtransform.h"
 #include "la/matrix32.h"
+#include "plan/plan.h"
+#include "sbr/sbr.h"
 
 namespace tdg::sbr {
 
-/// Float compact-WY panel: Q_p = I - V T V^T on rows [row0, row0 + v.rows).
-struct Panel32 {
-  index_t row0 = 0;
-  MatrixF v;
-  MatrixF t;
-};
+using BandFactor32 = BandFactorT<float>;
 
-/// Float reflector set: A = Q1 B Q1^T, Q1 = Q_p0 Q_p1 ... (factorisation
-/// order). Empty panels when the reduction ran values-only.
-struct BandFactor32 {
-  index_t n = 0;
-  index_t b = 0;
-  std::vector<Panel32> panels;
-};
+inline BandFactor32 dbbr_f(MatrixViewF a, index_t b, index_t k,
+                           bool want_factors) {
+  return dbbr(a, {.b = b, .k = k, .want_factors = want_factors});
+}
 
-/// Double-blocking band reduction in FP32 (paper Algorithm 1, barrier
-/// schedule). On return the lower triangle of `a` holds the bandwidth-b
-/// band matrix. `k` must be a positive multiple of b. With want_factors ==
-/// false at most one panel is held live and panels comes back empty.
-BandFactor32 dbbr_f(MatrixViewF a, index_t b, index_t k, bool want_factors);
-
-/// C <- Q1 C, panels applied in reverse factorisation order (the float
-/// apply_q1_conventional).
-void apply_q1_f(const BandFactor32& f, MatrixViewF c);
+/// Q1 C at the planner's default group width.
+inline void apply_q1_f(const BandFactor32& f, MatrixViewF c) {
+  bt::apply_q1_blocked(f, plan::default_plan({f.n}).bt_kw, c);
+}
 
 }  // namespace tdg::sbr

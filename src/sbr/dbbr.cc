@@ -49,8 +49,9 @@ namespace tdg::sbr {
 
 namespace {
 
-void trailing_syr2k(const BandReductionOptions& opts, ConstMatrixView v,
-                    ConstMatrixView w, MatrixView atail) {
+template <class T>
+void trailing_syr2k(const BandReductionOptions& opts, ConstMatrixViewT<T> v,
+                    ConstMatrixViewT<T> w, MatrixViewT<T> atail) {
   if (opts.use_square_syr2k) {
     la::syr2k_lower_square(-1.0, v, w, 1.0, atail, opts.syr2k_block);
   } else {
@@ -68,9 +69,10 @@ void trailing_syr2k(const BandReductionOptions& opts, ConstMatrixView v,
 /// With keep_all == false only the newest panel is retained (the partial
 /// -panel fixups read f.panels.back() only), so a values-only reduction
 /// holds one O(n*b) panel at a time instead of the O(n^2/2) full set.
-index_t panel_step(MatrixView a, index_t b, index_t j, index_t cols,
-                   Matrix& y, Matrix& z, BandFactor& f,
-                   lapack::WyFactor* pre, bool keep_all) {
+template <class T>
+index_t panel_step(MatrixViewT<T> a, index_t b, index_t j, index_t cols,
+                   MatrixT<T>& y, MatrixT<T>& z, BandFactorT<T>& f,
+                   lapack::WyFactorT<T>* pre, bool keep_all) {
   const index_t n = a.rows;
   const index_t m = n - j - b;       // rows of the below-band panel
   const index_t w = std::min(b, m);  // panel width
@@ -82,14 +84,14 @@ index_t panel_step(MatrixView a, index_t b, index_t j, index_t cols,
   if (cols > 0) {
     // JIT refresh of this panel's column block (rows j..n-1): apply all
     // updates accumulated in this outer block. Paper Algorithm 1, l.8-12.
-    MatrixView blk = a.block(j, j, n - j, w);
+    MatrixViewT<T> blk = a.block(j, j, n - j, w);
     la::gemm(Trans::kNo, Trans::kTrans, -1.0, y.block(j, 0, n - j, cols),
              z.block(j, 0, w, cols), 1.0, blk);
     la::gemm(Trans::kNo, Trans::kTrans, -1.0, z.block(j, 0, n - j, cols),
              y.block(j, 0, w, cols), 1.0, blk);
   }
 
-  lapack::WyFactor wy;
+  lapack::WyFactorT<T> wy;
   if (pre != nullptr) {
     wy = std::move(*pre);  // QR + zero_below_r already ran in the QR node
   } else {
@@ -98,22 +100,23 @@ index_t panel_step(MatrixView a, index_t b, index_t j, index_t cols,
   }
 
   // P = A_cur V = A_stale V - Y (Z^T V) - Z (Y^T V)  (rows j+b..n-1).
-  Matrix p(m, w);
+  MatrixT<T> p(m, w);
   la::symm_lower(1.0, a.block(j + b, j + b, m, m), wy.v.view(), 0.0,
                  p.view());
   if (cols > 0) {
-    Matrix zv(cols, w);
+    MatrixT<T> zv(cols, w);
     la::gemm(Trans::kTrans, Trans::kNo, 1.0, z.block(j + b, 0, m, cols),
              wy.v.view(), 0.0, zv.view());
     la::gemm(Trans::kNo, Trans::kNo, -1.0, y.block(j + b, 0, m, cols),
              zv.view(), 1.0, p.view());
-    Matrix yv(cols, w);
+    MatrixT<T> yv(cols, w);
     la::gemm(Trans::kTrans, Trans::kNo, 1.0, y.block(j + b, 0, m, cols),
              wy.v.view(), 0.0, yv.view());
     la::gemm(Trans::kNo, Trans::kNo, -1.0, z.block(j + b, 0, m, cols),
              yv.view(), 1.0, p.view());
   }
-  Matrix wmat = detail::zy_w_from_av(p.view(), wy.v.view(), wy.t.view());
+  MatrixT<T> wmat =
+      detail::zy_w_from_av<T>(p.view(), wy.v.view(), wy.t.view());
 
   copy(wy.v.view(), y.block(j + b, cols, m, w));
   copy(wmat.view(), z.block(j + b, cols, m, w));
@@ -156,8 +159,10 @@ std::vector<StepGeom> dbbr_geometry(index_t n, index_t b, index_t k,
 
 /// The look-ahead DAG schedule. Same arithmetic as the barrier loop below,
 /// re-expressed as a task graph; see the file header for the node layout.
-void dbbr_graph(MatrixView a, const BandReductionOptions& opts, Matrix& y,
-                Matrix& z, BandFactor& f, obs::Span& dbbr_span) {
+template <class T>
+void dbbr_graph(MatrixViewT<T> a, const BandReductionOptions& opts,
+                MatrixT<T>& y, MatrixT<T>& z, BandFactorT<T>& f,
+                obs::Span& dbbr_span) {
   const index_t n = a.rows;
   const index_t b = opts.b;
   const index_t k = opts.k;
@@ -173,7 +178,7 @@ void dbbr_graph(MatrixView a, const BandReductionOptions& opts, Matrix& y,
   // Look-ahead QR results, one slot per step, written by QR_s and consumed
   // by PC_s (ordered by the qr -> pc edge). Preallocated so no container
   // mutates while pool workers hold references.
-  std::vector<lapack::WyFactor> pre(ns);
+  std::vector<lapack::WyFactorT<T>> pre(ns);
   std::vector<char> pre_ok(ns, 0);
 
   // tile ids of the previous step, grouped by tile-column bj (so the QR
@@ -233,7 +238,7 @@ void dbbr_graph(MatrixView a, const BandReductionOptions& opts, Matrix& y,
           z.set_zero();
           index_t cols = 0;
           for (index_t j = cur.i; j < cur.i + k && n - j - b >= 1; j += b) {
-            lapack::WyFactor* p =
+            lapack::WyFactorT<T>* p =
                 (j == cur.i && pre_ok[s]) ? &pre[s] : nullptr;
             cols = panel_step(a, b, j, cols, y, z, f, p, keep_all);
           }
@@ -275,7 +280,7 @@ void dbbr_graph(MatrixView a, const BandReductionOptions& opts, Matrix& y,
     g.add(
         "dbbr.fixup", NodeClass::kDriver,
         [&a, &f, b] {
-          const Panel& last = f.panels.back();
+          const PanelT<T>& last = f.panels.back();
           const index_t lw = last.v.cols();
           const index_t lj = last.row0 - b;
           lapack::apply_block_reflector_left(
@@ -292,7 +297,8 @@ void dbbr_graph(MatrixView a, const BandReductionOptions& opts, Matrix& y,
 
 }  // namespace
 
-BandFactor dbbr(MatrixView a, const BandReductionOptions& opts) {
+template <class T>
+BandFactorT<T> dbbr(MatrixViewT<T> a, const BandReductionOptions& opts) {
   const index_t n = a.rows;
   const index_t b = opts.b;
   const index_t k = opts.k;
@@ -308,12 +314,12 @@ BandFactor dbbr(MatrixView a, const BandReductionOptions& opts) {
   dbbr_span.attr("b", b);
   dbbr_span.attr("k", k);
 
-  BandFactor f;
+  BandFactorT<T> f;
   f.n = n;
   f.b = b;
 
-  Matrix y(n, k);  // accumulated V panels (global row indexing)
-  Matrix z(n, k);  // accumulated W panels
+  MatrixT<T> y(n, k);  // accumulated V panels (global row indexing)
+  MatrixT<T> z(n, k);  // accumulated W panels
 
   // DAG schedule: bitwise-identical to the barrier loop below (same tile
   // grid, same kernels, same inputs). Falls back under an active op trace —
@@ -335,7 +341,7 @@ BandFactor dbbr(MatrixView a, const BandReductionOptions& opts) {
     index_t t0 = i;    // start of the stale trailing region
 
     for (index_t j = i; j < i + k && n - j - b >= 1; j += b) {
-      cols = panel_step(a, b, j, cols, y, z, f, nullptr, opts.want_factors);
+      cols = panel_step<T>(a, b, j, cols, y, z, f, nullptr, opts.want_factors);
       t0 = j + std::min(b, n - j - b);  // columns < t0 final; >= t0 stale
     }
 
@@ -344,15 +350,15 @@ BandFactor dbbr(MatrixView a, const BandReductionOptions& opts) {
       obs::Span syr2k_span("dbbr.syr2k");
       syr2k_span.attr("rows", n - t0);
       syr2k_span.attr("inner", cols);
-      trailing_syr2k(opts, y.block(t0, 0, n - t0, cols),
-                     z.block(t0, 0, n - t0, cols),
-                     a.block(t0, t0, n - t0, n - t0));
+      trailing_syr2k<T>(opts, y.block(t0, 0, n - t0, cols),
+                        z.block(t0, 0, n - t0, cols),
+                        a.block(t0, t0, n - t0, n - t0));
     }
     if (!f.panels.empty()) {
       // Final partial panel of the block (w < b): columns [j+w, j+b) stay
       // inside the band but their below-diagonal rows still receive the last
       // panel's Q^T from the left. (For full panels w == b this is empty.)
-      const Panel& last = f.panels.back();
+      const PanelT<T>& last = f.panels.back();
       const index_t lw = last.v.cols();
       const index_t lj = last.row0 - b;
       if (lw < b && lj >= i) {
@@ -366,5 +372,9 @@ BandFactor dbbr(MatrixView a, const BandReductionOptions& opts) {
   if (!opts.want_factors) f.panels.clear();
   return f;
 }
+
+template BandFactor dbbr<double>(MatrixView, const BandReductionOptions&);
+template BandFactorT<float> dbbr<float>(MatrixViewT<float>,
+                                        const BandReductionOptions&);
 
 }  // namespace tdg::sbr

@@ -28,34 +28,11 @@
 
 namespace tdg::sbr {
 
-namespace detail {
-
-Matrix zy_w_from_av(ConstMatrixView p, ConstMatrixView v, ConstMatrixView t) {
-  const index_t m = p.rows;
-  const index_t w = p.cols;
-  Matrix x(m, w);
-  la::gemm(Trans::kNo, Trans::kNo, 1.0, p, t, 0.0, x.view());  // X = P T
-  Matrix mm(w, w);
-  la::gemm(Trans::kTrans, Trans::kNo, 1.0, v, x.view(), 0.0, mm.view());
-  Matrix s(w, w);
-  la::gemm(Trans::kTrans, Trans::kNo, 1.0, t, mm.view(), 0.0, s.view());
-  la::gemm(Trans::kNo, Trans::kNo, -0.5, v, s.view(), 1.0, x.view());
-  return x;
-}
-
-void zero_below_r(MatrixView a, index_t j0, index_t b, index_t w) {
-  const index_t n = a.rows;
-  for (index_t c = 0; c < w; ++c) {
-    for (index_t r = j0 + b + c + 1; r < n; ++r) a(r, j0 + c) = 0.0;
-  }
-}
-
-}  // namespace detail
-
 namespace {
 
-void trailing_syr2k(const BandReductionOptions& opts, ConstMatrixView v,
-                    ConstMatrixView w, MatrixView atail) {
+template <class T>
+void trailing_syr2k(const BandReductionOptions& opts, ConstMatrixViewT<T> v,
+                    ConstMatrixViewT<T> w, MatrixViewT<T> atail) {
   if (opts.use_square_syr2k) {
     la::syr2k_lower_square(-1.0, v, w, 1.0, atail, opts.syr2k_block);
   } else {
@@ -90,8 +67,9 @@ std::vector<StepGeom> sy2sb_geometry(index_t n, index_t b,
 /// The look-ahead DAG schedule: per panel p a pooled QR node (overlapping
 /// the previous panel's tiles it does not read), a driver panel-transform
 /// node, and one pooled node per trailing-syr2k tile.
-void sy2sb_graph(MatrixView a, const BandReductionOptions& opts, BandFactor& f,
-                 obs::Span& sy2sb_span) {
+template <class T>
+void sy2sb_graph(MatrixViewT<T> a, const BandReductionOptions& opts,
+                 BandFactorT<T>& f, obs::Span& sy2sb_span) {
   const index_t n = a.rows;
   const index_t b = opts.b;
   const std::vector<StepGeom> steps = sy2sb_geometry(n, b, opts.syr2k_block);
@@ -105,8 +83,8 @@ void sy2sb_graph(MatrixView a, const BandReductionOptions& opts, BandFactor& f,
   // Per-panel state, preallocated so no container mutates while pool
   // workers hold references. The WY factors move into f.panels only after
   // the graph has drained (tiles read wys[p].v while later panels run).
-  std::vector<lapack::WyFactor> wys(np);
-  std::vector<Matrix> zs(np);
+  std::vector<lapack::WyFactorT<T>> wys(np);
+  std::vector<MatrixT<T>> zs(np);
   std::vector<char> pre_ok(np, 0);
 
   std::vector<std::vector<TaskGraph::NodeId>> prev_cols;
@@ -163,11 +141,12 @@ void sy2sb_graph(MatrixView a, const BandReductionOptions& opts, BandFactor& f,
                 a.block(cur.j + b, cur.j, cur.m, cur.w));
             detail::zero_below_r(a, cur.j, b, cur.w);
           }
-          MatrixView atail = a.block(cur.j + b, cur.j + b, cur.m, cur.m);
-          Matrix pmat(cur.m, cur.w);
+          MatrixViewT<T> atail =
+              a.block(cur.j + b, cur.j + b, cur.m, cur.m);
+          MatrixT<T> pmat(cur.m, cur.w);
           la::symm_lower(1.0, atail, wys[p].v.view(), 0.0, pmat.view());
-          zs[p] = detail::zy_w_from_av(pmat.view(), wys[p].v.view(),
-                                       wys[p].t.view());
+          zs[p] = detail::zy_w_from_av<T>(pmat.view(), wys[p].v.view(),
+                                          wys[p].t.view());
           if (cur.w < b) {
             lapack::apply_block_reflector_left(
                 wys[p].v.view(), wys[p].t.view(), Trans::kTrans,
@@ -209,7 +188,9 @@ void sy2sb_graph(MatrixView a, const BandReductionOptions& opts, BandFactor& f,
 
 }  // namespace
 
-BandFactor sy2sb(MatrixView a, index_t b, const BandReductionOptions& opts) {
+template <class T>
+BandFactorT<T> sy2sb(MatrixViewT<T> a, index_t b,
+                     const BandReductionOptions& opts) {
   const index_t n = a.rows;
   TDG_CHECK(a.rows == a.cols, "sy2sb: matrix must be square");
   TDG_CHECK(b >= 1 && b < std::max<index_t>(n, 2), "sy2sb: need 1 <= b < n");
@@ -221,7 +202,7 @@ BandFactor sy2sb(MatrixView a, index_t b, const BandReductionOptions& opts) {
   sy2sb_span.attr("n", n);
   sy2sb_span.attr("b", b);
 
-  BandFactor f;
+  BandFactorT<T> f;
   f.n = n;
   f.b = b;
 
@@ -242,16 +223,17 @@ BandFactor sy2sb(MatrixView a, index_t b, const BandReductionOptions& opts) {
     obs::Span panel_span("sy2sb.panel");
     panel_span.attr("j", j);
     panel_span.attr("width", w);
-    MatrixView panel = a.block(j + b, j, m, w);
-    lapack::WyFactor wy = lapack::panel_qr(panel);
+    MatrixViewT<T> panel = a.block(j + b, j, m, w);
+    lapack::WyFactorT<T> wy = lapack::panel_qr(panel);
     detail::zero_below_r(a, j, b, w);
 
     // Two-sided trailing update via the ZY representation.
-    MatrixView atail = a.block(j + b, j + b, m, m);
-    Matrix p(m, w);
+    MatrixViewT<T> atail = a.block(j + b, j + b, m, m);
+    MatrixT<T> p(m, w);
     la::symm_lower(1.0, atail, wy.v.view(), 0.0, p.view());
-    Matrix z = detail::zy_w_from_av(p.view(), wy.v.view(), wy.t.view());
-    trailing_syr2k(opts, wy.v.view(), z.view(), atail);
+    MatrixT<T> z =
+        detail::zy_w_from_av<T>(p.view(), wy.v.view(), wy.t.view());
+    trailing_syr2k<T>(opts, wy.v.view(), z.view(), atail);
 
     if (w < b) {
       // Final partial panel: columns [j+w, j+b) stay inside the band but
@@ -267,5 +249,10 @@ BandFactor sy2sb(MatrixView a, index_t b, const BandReductionOptions& opts) {
   }
   return f;
 }
+
+template BandFactor sy2sb<double>(MatrixView, index_t,
+                                  const BandReductionOptions&);
+template BandFactorT<float> sy2sb<float>(MatrixViewT<float>, index_t,
+                                         const BandReductionOptions&);
 
 }  // namespace tdg::sbr

@@ -77,6 +77,25 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{64, 16}, std::tuple{20, 19},
                       std::tuple{3, 2}, std::tuple{50, 7}));
 
+// The packed chase runs the identical arithmetic on the packed layout, so
+// the tridiagonal output matches the dense chase exactly, in scalar type T.
+template <class T>
+void expect_packed_matches_dense(const Matrix& a0, index_t b) {
+  const index_t n = a0.rows();
+  MatrixT<T> adense = converted<T>(a0.view());
+  bc::chase_dense(adense.view(), b, nullptr);
+
+  SymBandMatrixT<T> band = extract_band<T>(
+      converted<T>(a0.view()).view(), b, std::min<index_t>(2 * b, n - 1));
+  bc::chase_packed(band, b, nullptr);
+
+  for (index_t i = 0; i < n; ++i)
+    EXPECT_EQ(adense(i, i), band.at(i, i)) << i << " sizeof(T)=" << sizeof(T);
+  for (index_t i = 0; i + 1 < n; ++i)
+    EXPECT_EQ(adense(i + 1, i), band.at(i + 1, i))
+        << i << " sizeof(T)=" << sizeof(T);
+}
+
 class ChasePackedTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -84,22 +103,8 @@ TEST_P(ChasePackedTest, MatchesDenseChaseBitwise) {
   const auto [n, b] = GetParam();
   Rng rng(300 + n * 5 + b);
   const Matrix a0 = random_symmetric_band(n, b, rng);
-
-  Matrix adense = a0;
-  bc::chase_dense(adense.view(), b, nullptr);
-
-  SymBandMatrix band = extract_band(a0.view(), b, std::min<index_t>(2 * b, n - 1));
-  bc::chase_packed(band, b, nullptr);
-
-  // The packed chase runs the identical arithmetic on the packed layout, so
-  // the tridiagonal output matches the dense chase exactly.
-  std::vector<double> d1, e1, d2, e2;
-  bc::extract_tridiag(adense.view(), d1, e1);
-  bc::extract_tridiag(band, d2, e2);
-  for (index_t i = 0; i < n; ++i)
-    EXPECT_EQ(d1[static_cast<size_t>(i)], d2[static_cast<size_t>(i)]) << i;
-  for (index_t i = 0; i + 1 < n; ++i)
-    EXPECT_EQ(e1[static_cast<size_t>(i)], e2[static_cast<size_t>(i)]) << i;
+  expect_packed_matches_dense<double>(a0, b);
+  expect_packed_matches_dense<float>(a0, b);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -108,35 +113,36 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{48, 8}, std::tuple{33, 2},
                       std::tuple{64, 12}));
 
-class ChaseParallelTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
-
-TEST_P(ChaseParallelTest, BitwiseEqualToSequential) {
-  const auto [n, b, threads, cap] = GetParam();
-  Rng rng(700 + n + b + threads);
-  const Matrix a0 = random_symmetric_band(n, b, rng);
+// The dependency protocol linearises all conflicting block steps into the
+// sequential order, so the pipelined chase in scalar type T must match the
+// sequential one bit for bit.
+template <class T>
+void expect_parallel_matches_sequential(const Matrix& a0, index_t b,
+                                        int threads, index_t cap) {
+  const index_t n = a0.rows();
   const index_t kd = std::min<index_t>(2 * b, n - 1);
+  const MatrixT<T> at = converted<T>(a0.view());
 
-  SymBandMatrix seq = extract_band(a0.view(), b, kd);
-  bc::ChaseLog seqlog;
+  SymBandMatrixT<T> seq = extract_band<T>(at.view(), b, kd);
+  bc::ChaseLogT<T> seqlog;
   bc::chase_packed(seq, b, &seqlog);
 
-  SymBandMatrix par = extract_band(a0.view(), b, kd);
+  SymBandMatrixT<T> par = extract_band<T>(at.view(), b, kd);
   bc::ParallelChaseOptions opts;
   opts.threads = threads;
   opts.max_parallel_sweeps = cap;
-  bc::ChaseLog parlog;
+  bc::ChaseLogT<T> parlog;
   bc::chase_packed_parallel(par, b, opts, &parlog);
 
-  // The dependency protocol linearises all conflicting block steps into the
-  // sequential order, so the result must be bitwise identical.
   std::vector<double> d1, e1, d2, e2;
   bc::extract_tridiag(seq, d1, e1);
   bc::extract_tridiag(par, d2, e2);
   for (index_t i = 0; i < n; ++i)
-    EXPECT_EQ(d1[static_cast<size_t>(i)], d2[static_cast<size_t>(i)]) << i;
+    EXPECT_EQ(d1[static_cast<size_t>(i)], d2[static_cast<size_t>(i)])
+        << i << " sizeof(T)=" << sizeof(T);
   for (index_t i = 0; i + 1 < n; ++i)
-    EXPECT_EQ(e1[static_cast<size_t>(i)], e2[static_cast<size_t>(i)]) << i;
+    EXPECT_EQ(e1[static_cast<size_t>(i)], e2[static_cast<size_t>(i)])
+        << i << " sizeof(T)=" << sizeof(T);
 
   // Reflector logs identical too (same reflectors, same order).
   ASSERT_EQ(seqlog.sweeps.size(), parlog.sweeps.size());
@@ -144,6 +150,17 @@ TEST_P(ChaseParallelTest, BitwiseEqualToSequential) {
     ASSERT_EQ(seqlog.sweeps[s].steps.size(), parlog.sweeps[s].steps.size());
     EXPECT_EQ(seqlog.sweeps[s].vpool, parlog.sweeps[s].vpool);
   }
+}
+
+class ChaseParallelTest
+    : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
+
+TEST_P(ChaseParallelTest, BitwiseEqualToSequential) {
+  const auto [n, b, threads, cap] = GetParam();
+  Rng rng(700 + n + b + threads);
+  const Matrix a0 = random_symmetric_band(n, b, rng);
+  expect_parallel_matches_sequential<double>(a0, b, threads, cap);
+  expect_parallel_matches_sequential<float>(a0, b, threads, cap);
 }
 
 INSTANTIATE_TEST_SUITE_P(

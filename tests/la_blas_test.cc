@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -162,21 +164,24 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapeTest,
 
 // Reference loop in the unblocked kernel's per-element order: c <- beta * c
 // (zero for beta == 0), then c <- c + (alpha * op(B)(l, j)) * op(A)(i, l)
-// for l ascending. The blocked engine must reproduce it bit for bit.
-Matrix ordered_gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
-                    ConstMatrixView b, double beta, ConstMatrixView c0) {
+// for l ascending, all in T. The blocked engine must reproduce it bit for
+// bit in each scalar type.
+template <class T>
+MatrixT<T> ordered_gemm(Trans ta, Trans tb, T alpha, ConstMatrixViewT<T> a,
+                        ConstMatrixViewT<T> b, T beta,
+                        ConstMatrixViewT<T> c0) {
   const index_t m = c0.rows;
   const index_t n = c0.cols;
   const index_t k = (ta == Trans::kNo) ? a.cols : a.rows;
-  Matrix c(m, n);
+  MatrixT<T> c(m, n);
   for (index_t j = 0; j < n; ++j) {
     for (index_t i = 0; i < m; ++i) {
-      double x = (beta == 0.0) ? 0.0 : c0(i, j);
-      if (beta != 0.0 && beta != 1.0) x *= beta;
+      T x = (beta == T(0)) ? T(0) : c0(i, j);
+      if (beta != T(0) && beta != T(1)) x *= beta;
       for (index_t l = 0; l < k; ++l) {
-        const double av = (ta == Trans::kNo) ? a(i, l) : a(l, i);
-        const double bv = (tb == Trans::kNo) ? b(l, j) : b(j, l);
-        const double coef = alpha * bv;
+        const T av = (ta == Trans::kNo) ? a(i, l) : a(l, i);
+        const T bv = (tb == Trans::kNo) ? b(l, j) : b(j, l);
+        const T coef = alpha * bv;
         x += coef * av;
       }
       c(i, j) = x;
@@ -189,22 +194,23 @@ Matrix ordered_gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
 // (alpha b(l, j)) a(i, l) to rows i >= l and, through the mirrored entries,
 // alpha * s to row l, with s = sum over i > l of a(i, l) b(i, j) accumulated
 // from zero in ascending i.
-Matrix ordered_symm(double alpha, ConstMatrixView a, ConstMatrixView b,
-                    double beta, ConstMatrixView c0) {
+template <class T>
+MatrixT<T> ordered_symm(T alpha, ConstMatrixViewT<T> a, ConstMatrixViewT<T> b,
+                        T beta, ConstMatrixViewT<T> c0) {
   const index_t n = a.rows;
   const index_t w = c0.cols;
-  Matrix c(n, w);
+  MatrixT<T> c(n, w);
   for (index_t j = 0; j < w; ++j) {
     for (index_t i = 0; i < n; ++i) {
-      c(i, j) = (beta == 0.0) ? 0.0 : c0(i, j);
-      if (beta != 0.0 && beta != 1.0) c(i, j) *= beta;
+      c(i, j) = (beta == T(0)) ? T(0) : c0(i, j);
+      if (beta != T(0) && beta != T(1)) c(i, j) *= beta;
     }
   }
   for (index_t l = 0; l < n; ++l) {
     for (index_t j = 0; j < w; ++j) {
-      const double abl = alpha * b(l, j);
+      const T abl = alpha * b(l, j);
       c(l, j) += abl * a(l, l);
-      double s = 0.0;
+      T s = T(0);
       for (index_t i = l + 1; i < n; ++i) {
         c(i, j) += abl * a(i, l);
         s += a(i, l) * b(i, j);
@@ -216,11 +222,13 @@ Matrix ordered_symm(double alpha, ConstMatrixView a, ConstMatrixView b,
 }
 
 // Bit-pattern equality (distinguishes -0.0 from 0.0, matches NaN payloads).
-::testing::AssertionResult BitwiseEqual(ConstMatrixView x, ConstMatrixView y) {
+template <class T>
+::testing::AssertionResult BitwiseEqual(ConstMatrixViewT<T> x,
+                                        ConstMatrixViewT<T> y) {
+  using Bits = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
   for (index_t j = 0; j < x.cols; ++j) {
     for (index_t i = 0; i < x.rows; ++i) {
-      if (std::bit_cast<std::uint64_t>(x(i, j)) !=
-          std::bit_cast<std::uint64_t>(y(i, j))) {
+      if (std::bit_cast<Bits>(x(i, j)) != std::bit_cast<Bits>(y(i, j))) {
         return ::testing::AssertionFailure()
                << "first difference at (" << i << "," << j << "): " << x(i, j)
                << " vs " << y(i, j);
@@ -230,11 +238,34 @@ Matrix ordered_symm(double alpha, ConstMatrixView a, ConstMatrixView b,
   return ::testing::AssertionSuccess();
 }
 
+// la::gemm in scalar type T on the FP64 operands rounded to T, against the
+// ordered reference in T, at thread counts 1 and 4.
+template <class T>
+void expect_gemm_matches_ordered(Trans ta, Trans tb, double alpha,
+                                 double beta, const Matrix& a,
+                                 const Matrix& b, const Matrix& c0,
+                                 const std::string& what) {
+  const MatrixT<T> at = converted<T>(a.view());
+  const MatrixT<T> bt = converted<T>(b.view());
+  const MatrixT<T> c0t = converted<T>(c0.view());
+  const MatrixT<T> ref = ordered_gemm<T>(ta, tb, T(alpha), at.view(),
+                                         bt.view(), T(beta), c0t.view());
+  for (const int threads : {1, 4}) {
+    MatrixT<T> c = c0t;
+    {
+      ThreadLimit limit(threads);
+      la::gemm(ta, tb, alpha, at.view(), bt.view(), beta, c.view());
+    }
+    EXPECT_TRUE(BitwiseEqual<T>(c.view(), ref.view()))
+        << what << " threads=" << threads << " sizeof(T)=" << sizeof(T);
+  }
+}
+
 // The packed engine must reproduce the ordered reference bit for bit for
 // every transpose pair and beta class (overwrite, accumulate, scale), at
-// thread counts 1 and 4. The shapes straddle the register tile (4 x 4), the
-// cache blocks (MC = 128, KC = 256, NC = 512) and the unpacked small-volume
-// cutoff (64^3 for NN).
+// thread counts 1 and 4, in double and in float. The shapes straddle the
+// register tile (4 x 4 doubles, 8 x 4 floats), the cache blocks (MC = 128,
+// KC = 256, NC = 512) and the unpacked small-volume cutoff (64^3 for NN).
 class GemmBetaThreadsTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(GemmBetaThreadsTest, PackedMatchesNaiveAndIsThreadInvariant) {
@@ -245,7 +276,7 @@ TEST_P(GemmBetaThreadsTest, PackedMatchesNaiveAndIsThreadInvariant) {
                                {5, 7, 9},      {64, 64, 64},   {65, 64, 64},
                                {128, 4, 256},  {127, 33, 255}, {129, 5, 257},
                                {130, 75, 280}, {261, 3, 40},   {40, 530, 70},
-                               {133, 515, 261}};
+                               {133, 515, 261}, {8, 4, 8},     {15, 6, 10}};
   for (const auto& [m, n, k] : shapes) {
     for (const Trans ta : {Trans::kNo, Trans::kTrans}) {
       for (const Trans tb : {Trans::kNo, Trans::kTrans}) {
@@ -254,19 +285,15 @@ TEST_P(GemmBetaThreadsTest, PackedMatchesNaiveAndIsThreadInvariant) {
         const Matrix b = (tb == Trans::kNo) ? random_matrix(k, n, rng)
                                             : random_matrix(n, k, rng);
         const Matrix c0 = random_matrix(m, n, rng);
-        const Matrix ref =
-            ordered_gemm(ta, tb, alpha, a.view(), b.view(), beta, c0.view());
-        for (const int threads : {1, 4}) {
-          Matrix c = c0;
-          {
-            ThreadLimit limit(threads);
-            la::gemm(ta, tb, alpha, a.view(), b.view(), beta, c.view());
-          }
-          EXPECT_TRUE(BitwiseEqual(c.view(), ref.view()))
-              << m << "x" << n << "x" << k << " ta=" << (ta == Trans::kTrans)
-              << " tb=" << (tb == Trans::kTrans) << " beta=" << beta
-              << " threads=" << threads;
-        }
+        const std::string what =
+            std::to_string(m) + "x" + std::to_string(n) + "x" +
+            std::to_string(k) + " ta=" + std::to_string(ta == Trans::kTrans) +
+            " tb=" + std::to_string(tb == Trans::kTrans) +
+            " beta=" + std::to_string(beta);
+        expect_gemm_matches_ordered<double>(ta, tb, alpha, beta, a, b, c0,
+                                            what);
+        expect_gemm_matches_ordered<float>(ta, tb, alpha, beta, a, b, c0,
+                                           what);
       }
     }
   }
@@ -275,10 +302,35 @@ TEST_P(GemmBetaThreadsTest, PackedMatchesNaiveAndIsThreadInvariant) {
 INSTANTIATE_TEST_SUITE_P(Betas, GemmBetaThreadsTest,
                          ::testing::Values(0.0, 1.0, 0.5));
 
+// la::symm_lower in scalar type T on the FP64 operands rounded to T,
+// against the ordered sweep in T, for each beta class at thread counts 1
+// and 4.
+template <class T>
+void expect_symm_matches_ordered(const Matrix& a, const Matrix& b,
+                                 const Matrix& c0) {
+  const MatrixT<T> at = converted<T>(a.view());
+  const MatrixT<T> bt = converted<T>(b.view());
+  const MatrixT<T> c0t = converted<T>(c0.view());
+  for (const double beta : {0.0, 1.0, 0.5}) {
+    const MatrixT<T> ref =
+        ordered_symm<T>(T(0.7), at.view(), bt.view(), T(beta), c0t.view());
+    for (const int threads : {1, 4}) {
+      MatrixT<T> c = c0t;
+      {
+        ThreadLimit limit(threads);
+        la::symm_lower(0.7, at.view(), bt.view(), beta, c.view());
+      }
+      EXPECT_TRUE(BitwiseEqual<T>(c.view(), ref.view()))
+          << "n=" << a.rows() << " w=" << b.cols() << " beta=" << beta
+          << " threads=" << threads << " sizeof(T)=" << sizeof(T);
+    }
+  }
+}
+
 // symm_lower splits its rows into blocks of 128: n = 1, one block minus
 // and plus one row, and several blocks, each with one, 32 and 70 output
-// columns (70 crosses the 32-column grid). The strict upper triangle holds
-// NaN, so reading it would show.
+// columns (70 crosses the 32-column grid), in double and in float. The
+// strict upper triangle holds NaN, so reading it would show.
 TEST(Symm, MatchesOrderedSweepAtThreads1And4) {
   Rng rng(402);
   for (const index_t n : {1, 127, 128, 129, 300}) {
@@ -289,20 +341,8 @@ TEST(Symm, MatchesOrderedSweepAtThreads1And4) {
     for (const index_t w : {1, 32, 70}) {
       const Matrix b = random_matrix(n, w, rng);
       const Matrix c0 = random_matrix(n, w, rng);
-      for (const double beta : {0.0, 1.0, 0.5}) {
-        const Matrix ref =
-            ordered_symm(0.7, a.view(), b.view(), beta, c0.view());
-        for (const int threads : {1, 4}) {
-          Matrix c = c0;
-          {
-            ThreadLimit limit(threads);
-            la::symm_lower(0.7, a.view(), b.view(), beta, c.view());
-          }
-          EXPECT_TRUE(BitwiseEqual(c.view(), ref.view()))
-              << "n=" << n << " w=" << w << " beta=" << beta
-              << " threads=" << threads;
-        }
-      }
+      expect_symm_matches_ordered<double>(a, b, c0);
+      expect_symm_matches_ordered<float>(a, b, c0);
     }
   }
 }

@@ -6,6 +6,9 @@
 //     (||A v - w v|| <= 50 * eps_fp64 * ||A||_F) on well- and
 //     ill-conditioned inputs: Wilkinson W21, tightly clustered spectra,
 //     graded matrices spanning 12 decades
+//   - at n = 600 (several DBBR outer blocks) the FP32 result itself is
+//     accepted: no fp32->fp64 rerun, at most two refinement sweeps, and
+//     bitwise the same result at one and four threads
 //   - Ogita–Aishima refinement converges from eps_fp32-sized perturbations
 //     of exact FP64 eigenpairs
 //   - a fault-injected refinement failure ("evd_refine") falls back to the
@@ -111,6 +114,7 @@ void expect_mixed_meets_bound(const Matrix& a, const char* what) {
   if (res.mode == plan::EvdMode::kMixedPrecision) {
     EXPECT_TRUE(res.recovery.empty()) << what << ": " << res.recovery;
     EXPECT_GE(res.refine_iters, 1) << what;
+    EXPECT_GT(res.seconds_backtransform, 0.0) << what;
   } else {
     EXPECT_EQ(res.mode, plan::EvdMode::kStandard) << what;
     EXPECT_EQ(res.recovery.rfind("fp32->fp64", 0), 0u)
@@ -155,6 +159,54 @@ TEST(MixedPrecision, ConvergesOnGradedSpectrum) {
     evals.push_back(std::pow(10.0, -12.0 * i / (n - 1)));
   }
   expect_mixed_meets_bound(symmetric_with_spectrum(evals, rng), "graded");
+}
+
+// expect_mixed_meets_bound also passes when the FP32 result is rejected and
+// the driver reruns in FP64, which would hide an FP32 accuracy loss. Here
+// the FP32 result itself must be accepted: at n = 600 DBBR runs several
+// outer blocks, the refinement takes at most two sweeps, the accepted
+// vectors are orthogonal to n eps (about 1.6 n eps without the final
+// orthogonalization), and the result is bitwise the same at one and four
+// threads.
+TEST(MixedPrecision, AcceptedWithoutFallbackOverSeveralDbbrBlocks) {
+  Rng rng(909);
+  const index_t n = 600;
+  const Matrix a = random_symmetric(n, rng);
+  eig::EvdOptions opts;
+  opts.mode = plan::EvdMode::kMixedPrecision;
+
+  const plan::ResolvedPipeline cfg = plan::resolve_and_validate(
+      plan::ProblemShape{n, true, 0, opts.mode}, opts.plan, opts.tridiag,
+      eig::merged_knobs(opts));
+  const index_t b = cfg.tridiag.b;
+  const index_t k = cfg.tridiag.k;
+  // DBBR starts an outer block at every multiple of k below n - b.
+  EXPECT_GE((n - b + k - 1) / k, 2) << "b=" << b << " k=" << k;
+
+  std::vector<eig::EvdResult> runs;
+  for (const int threads : {1, 4}) {
+    eig::EvdOptions o = opts;
+    o.tridiag.threads = threads;
+    o.tridiag.bc_threads = threads;
+    runs.push_back(eig::eigh(a.view(), o));
+    const eig::EvdResult& r = runs.back();
+    EXPECT_EQ(r.mode, plan::EvdMode::kMixedPrecision) << threads;
+    EXPECT_TRUE(r.recovery.empty()) << threads << ": " << r.recovery;
+    EXPECT_GE(r.refine_iters, 1) << threads;
+    EXPECT_LE(r.refine_iters, 2) << threads;
+    EXPECT_GT(r.seconds_backtransform, 0.0) << threads;
+    ASSERT_EQ(r.eigenvectors.cols(), n);
+    EXPECT_LE(evd_residual(a.view(), r.eigenvectors.view(), r.eigenvalues),
+              acceptance_bound(a.view()))
+        << threads;
+    EXPECT_LE(orthogonality_error(r.eigenvectors.view()),
+              static_cast<double>(n) * std::numeric_limits<double>::epsilon())
+        << threads;
+  }
+  EXPECT_EQ(runs[0].eigenvalues, runs[1].eigenvalues);
+  EXPECT_EQ(max_abs_diff(runs[0].eigenvectors.view(),
+                         runs[1].eigenvectors.view()),
+            0.0);
 }
 
 TEST(MixedPrecision, RefinementConvergesFromFp32SizedPerturbation) {

@@ -245,49 +245,65 @@ TEST(SymBand, RejectsBadBandwidth) {
 // schedule — same tile grid, same kernels, same inputs — at every thread
 // count, for both reductions. 0.0 tolerance everywhere: band matrix AND
 // reflector panels.
+// max |x - y| of two same-shape matrices of scalar type T, in FP64 (exact
+// for float: promotion is lossless).
+template <class T>
+double max_abs_diff_of(const MatrixT<T>& x, const MatrixT<T>& y) {
+  return max_abs_diff(converted<double>(x.view()).view(),
+                      converted<double>(y.view()).view());
+}
+
+// DBBR in scalar type T on a0 rounded to T, at every schedule and thread
+// count, against the single-threaded barrier schedule in T.
+template <class T>
+void expect_dbbr_schedules_match(const Matrix& a0) {
+  const index_t n = a0.rows();
+  sbr::BandReductionOptions base;
+  base.b = 8;
+  base.k = 32;
+  base.syr2k_block = 16;  // several tiles per trailing update
+
+  // Barrier reference, single-threaded.
+  MatrixT<T> ref = converted<T>(a0.view());
+  sbr::BandFactorT<T> fref;
+  {
+    sbr::BandReductionOptions o = base;
+    o.threads = 1;
+    o.lookahead = 0;
+    fref = sbr::dbbr(ref.view(), o);
+  }
+
+  for (const int threads : {1, 2, 8}) {
+    for (const index_t la : {index_t{0}, index_t{1}}) {
+      MatrixT<T> a = converted<T>(a0.view());
+      sbr::BandReductionOptions o = base;
+      o.threads = threads;
+      o.lookahead = la;
+      const sbr::BandFactorT<T> f = sbr::dbbr(a.view(), o);
+      EXPECT_EQ(max_abs_diff_of(a, ref), 0.0)
+          << "n=" << n << " threads=" << threads << " lookahead=" << la
+          << " sizeof(T)=" << sizeof(T);
+      ASSERT_EQ(f.panels.size(), fref.panels.size());
+      for (size_t p = 0; p < f.panels.size(); ++p) {
+        EXPECT_EQ(f.panels[p].row0, fref.panels[p].row0);
+        EXPECT_EQ(max_abs_diff_of(f.panels[p].v, fref.panels[p].v), 0.0)
+            << "n=" << n << " panel " << p << " threads=" << threads
+            << " la=" << la << " sizeof(T)=" << sizeof(T);
+        EXPECT_EQ(max_abs_diff_of(f.panels[p].t, fref.panels[p].t), 0.0);
+      }
+    }
+  }
+}
+
 TEST(Lookahead, DbbrBitwiseIdenticalToBarrierAcrossThreadCounts) {
   // n = 97: the partial final panel exercises the fixup node. n = 300: the
-  // first panels' A V products span several symm_lower row blocks.
+  // first panels' A V products span several symm_lower row blocks. Both
+  // scalar types.
   for (const index_t n : {index_t{97}, index_t{300}}) {
     Rng rng(777);
     const Matrix a0 = random_symmetric(n, rng);
-
-    sbr::BandReductionOptions base;
-    base.b = 8;
-    base.k = 32;
-    base.syr2k_block = 16;  // several tiles per trailing update
-
-    // Barrier reference, single-threaded.
-    Matrix ref = a0;
-    sbr::BandFactor fref;
-    {
-      sbr::BandReductionOptions o = base;
-      o.threads = 1;
-      o.lookahead = 0;
-      fref = sbr::dbbr(ref.view(), o);
-    }
-
-    for (const int threads : {1, 2, 8}) {
-      for (const index_t la : {index_t{0}, index_t{1}}) {
-        Matrix a = a0;
-        sbr::BandReductionOptions o = base;
-        o.threads = threads;
-        o.lookahead = la;
-        const sbr::BandFactor f = sbr::dbbr(a.view(), o);
-        EXPECT_EQ(max_abs_diff(a.view(), ref.view()), 0.0)
-            << "n=" << n << " threads=" << threads << " lookahead=" << la;
-        ASSERT_EQ(f.panels.size(), fref.panels.size());
-        for (size_t p = 0; p < f.panels.size(); ++p) {
-          EXPECT_EQ(f.panels[p].row0, fref.panels[p].row0);
-          EXPECT_EQ(
-              max_abs_diff(f.panels[p].v.view(), fref.panels[p].v.view()), 0.0)
-              << "n=" << n << " panel " << p << " threads=" << threads
-              << " la=" << la;
-          EXPECT_EQ(
-              max_abs_diff(f.panels[p].t.view(), fref.panels[p].t.view()), 0.0);
-        }
-      }
-    }
+    expect_dbbr_schedules_match<double>(a0);
+    expect_dbbr_schedules_match<float>(a0);
   }
 }
 
