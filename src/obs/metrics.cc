@@ -127,6 +127,25 @@ BoundedHistogram* Registry::latency(const std::string& name,
   return slot.get();
 }
 
+namespace {
+
+/// OpenMetrics metric name: dots become underscores under a tdg_ prefix.
+std::string om_name(const std::string& name) {
+  std::string out = "tdg_";
+  for (const char c : name) out.push_back(c == '.' ? '_' : c);
+  return out;
+}
+
+/// Format a double the way Prometheus expects (no trailing zeros needed,
+/// %.17g round-trips).
+std::string om_num(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+}  // namespace
+
 std::string Registry::snapshot_json() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
@@ -156,6 +175,29 @@ std::string Registry::snapshot_json() const {
     os << "]}";
     first = false;
   }
+  os << "},\"latency\":{";
+  first = true;
+  for (const auto& [name, series] : latency_) {
+    os << (first ? "" : ",") << '"' << json::escape(name) << "\":{";
+    bool first_series = true;
+    for (const auto& [label, h] : series) {
+      os << (first_series ? "" : ",") << '"'
+         << json::escape(label.empty() ? "all" : label)
+         << "\":{\"count\":" << h->count()
+         << ",\"sum\":" << om_num(h->sum()) << ",\"bounds\":[";
+      for (int i = 0; i < h->nbounds(); ++i) {
+        os << (i ? "," : "") << om_num(h->upper_bound(i));
+      }
+      os << "],\"buckets\":[";
+      for (int i = 0; i <= h->nbounds(); ++i) {
+        os << (i ? "," : "") << h->bucket(i);
+      }
+      os << "]}";
+      first_series = false;
+    }
+    os << "}";
+    first = false;
+  }
   os << "}}";
   return os.str();
 }
@@ -170,25 +212,6 @@ bool Registry::write(const std::string& path) const {
   std::fclose(f);
   return ok;
 }
-
-namespace {
-
-/// OpenMetrics metric name: dots become underscores under a tdg_ prefix.
-std::string om_name(const std::string& name) {
-  std::string out = "tdg_";
-  for (const char c : name) out.push_back(c == '.' ? '_' : c);
-  return out;
-}
-
-/// Format a double the way Prometheus expects (no trailing zeros needed,
-/// %.17g round-trips).
-std::string om_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string Registry::openmetrics_text() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -310,7 +333,6 @@ Registry& Registry::global() {
     r->counter("serve.rejected", Gating::kAlways);
     r->counter("serve.completed", Gating::kAlways);
     r->counter("serve.degraded", Gating::kAlways);
-    r->counter("serve.precision_degraded", Gating::kAlways);
     r->counter("serve.failed", Gating::kAlways);
     r->counter("serve.retries", Gating::kAlways);
     r->counter("serve.breaker_trips", Gating::kAlways);
@@ -318,7 +340,6 @@ Registry& Registry::global() {
     r->counter("serve.deadline_failures", Gating::kAlways);
     r->gauge("serve.queue_depth", Gating::kAlways);
     r->gauge("serve.queue_depth_hwm", Gating::kAlways);
-    r->histogram("serve.latency_us", Gating::kAlways);
     r->histogram("profile.model_drift_pct", Gating::kAlways);
     r->latency("serve.latency_ms", "", Gating::kAlways);
     return r;

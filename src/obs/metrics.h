@@ -229,8 +229,13 @@ class Registry {
 
   /// One JSON line with every registered metric:
   ///   {"schema_version":1,"counters":{...},"gauges":{...},
-  ///    "histograms":{"name":{"count":..,"sum":..,"buckets":[..]}}}
-  /// Histogram buckets are trimmed to the highest non-empty one.
+  ///    "histograms":{"name":{"count":..,"sum":..,"buckets":[..]}},
+  ///    "latency":{"name":{"<label>":{"count":..,"sum":..,
+  ///                                  "bounds":[..],"buckets":[..]}}}}
+  /// Histogram buckets are trimmed to the highest non-empty one. Latency
+  /// series are keyed by label, "all" for the "" aggregate as in
+  /// OpenMetrics; their buckets are per-bound counts, the last one the
+  /// +Inf overflow.
   std::string snapshot_json() const;
 
   /// Write snapshot_json() + '\n' to `path`. Returns false on I/O failure.

@@ -36,8 +36,8 @@ extern std::atomic<int> g_trace_armed;  // 0 = disarmed: the fast path
 /// Ambient request identity for the current thread. Minted once per serve
 /// request at admission (next_request_id()) and carried across every
 /// cross-thread handoff — thread-pool helper tasks, task-graph nodes,
-/// batch slots, the retry executor — by capturing current_context() at
-/// dispatch and installing a ContextScope in the receiving task. Every
+/// batch slots (serve retries included) — by capturing current_context()
+/// at dispatch and installing a ContextScope in the receiving task. Every
 /// span closed while a context is installed is tagged with the request id,
 /// so the Chrome-trace export reconstructs one end-to-end flow per request.
 /// request_id 0 means "no ambient request" (library work outside serve).

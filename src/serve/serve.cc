@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <random>
@@ -36,6 +35,10 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
       .count();
 }
 
+Clock::duration ms_duration(double ms) {
+  return std::chrono::microseconds(static_cast<long long>(ms * 1e3));
+}
+
 /// serve.* registry metrics, resolved once. All always-on: a request is
 /// control-plane traffic and its accounting must survive disarmed metrics.
 struct ServeMetrics {
@@ -44,7 +47,6 @@ struct ServeMetrics {
   obs::Counter* rejected;
   obs::Counter* completed;
   obs::Counter* degraded;
-  obs::Counter* precision_degraded;
   obs::Counter* failed;
   obs::Counter* retries;
   obs::Counter* breaker_trips;
@@ -52,7 +54,6 @@ struct ServeMetrics {
   obs::Counter* deadline_failures;
   obs::Gauge* queue_depth;
   obs::Gauge* queue_depth_hwm;
-  obs::Histogram* latency_us;
 
   static ServeMetrics& get() {
     static ServeMetrics m = [] {
@@ -63,15 +64,13 @@ struct ServeMetrics {
                           r.counter("serve.rejected", always),
                           r.counter("serve.completed", always),
                           r.counter("serve.degraded", always),
-                          r.counter("serve.precision_degraded", always),
                           r.counter("serve.failed", always),
                           r.counter("serve.retries", always),
                           r.counter("serve.breaker_trips", always),
                           r.counter("serve.batches", always),
                           r.counter("serve.deadline_failures", always),
                           r.gauge("serve.queue_depth", always),
-                          r.gauge("serve.queue_depth_hwm", always),
-                          r.histogram("serve.latency_us", always)};
+                          r.gauge("serve.queue_depth_hwm", always)};
     }();
     return m;
   }
@@ -165,12 +164,18 @@ struct ServeCore::Impl {
     // on whichever thread, carries ctx.request_id.
     obs::TraceContext ctx{};
     bool probe = false;  // the bucket breaker's half-open probe
-    int retries = 0;
+    // Fixed at the first dispatch and kept by every retry: queue_ms ends
+    // and solve_ms starts at `dispatched_at`, and a retry re-solves the
+    // effective (post-degrade) vectors/mode of the first triage.
+    Clock::time_point dispatched_at{};
+    bool vectors = true;
+    plan::EvdMode mode = plan::EvdMode::kStandard;
+    bool degraded = false;
+    int retries = 0;  // > 0: this dispatch is a retry
   };
 
   explicit Impl(const ServeOptions& o) : opts(o) {
     dispatcher = std::thread([this] { run(); });
-    retry_worker = std::thread([this] { retry_loop(); });
   }
 
   ~Impl() {
@@ -180,13 +185,7 @@ struct ServeCore::Impl {
       stopping = true;
     }
     cv.notify_all();
-    dispatcher.join();  // drains the queue (may enqueue retry jobs)
-    {
-      std::lock_guard<std::mutex> lk(retry_mu);
-      retry_stop = true;
-    }
-    retry_cv.notify_all();
-    retry_worker.join();  // runs every remaining retry to resolution
+    dispatcher.join();  // resolves everything queued or waiting to retry
   }
 
   // ---- admission (caller thread) -------------------------------------
@@ -198,6 +197,8 @@ struct ServeCore::Impl {
 
     auto req = std::make_unique<Request>();
     req->ropts = ropts;
+    req->vectors = ropts.vectors;
+    req->mode = ropts.mode;
     req->token = token;
     req->submitted_at = Clock::now();
     Ticket ticket{req->promise.get_future(), token};
@@ -294,35 +295,48 @@ struct ServeCore::Impl {
   void run() {
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
-      cv.wait(lk, [&] { return !queue.empty() || stopping; });
-      if (queue.empty()) break;  // stopping and nothing left to resolve
+      // Sleep until a request is queued or the earliest retry falls due.
+      // Shutdown ends the loop only once nothing is queued or retrying.
+      if (retrying.empty()) {
+        cv.wait(lk, [&] { return !queue.empty() || stopping; });
+        if (queue.empty()) break;
+      } else {
+        cv.wait_until(lk, retrying.begin()->first,
+                      [&] { return !queue.empty(); });
+      }
 
       // Coalesce window: give same-bucket peers a moment to arrive so a
       // burst becomes one planner pass + one eigh_batched dispatch. Cut
       // short by a full batch, drain, or shutdown.
-      if (opts.coalesce_window_ms > 0.0 && !draining) {
-        const auto window_end =
-            queue.front()->submitted_at +
-            std::chrono::microseconds(
-                static_cast<long long>(opts.coalesce_window_ms * 1e3));
+      if (!queue.empty() && opts.coalesce_window_ms > 0.0 && !draining) {
+        const auto window_end = queue.front()->submitted_at +
+                                ms_duration(opts.coalesce_window_ms);
         cv.wait_until(lk, window_end, [&] {
           return static_cast<int>(queue.size()) >= opts.max_batch ||
                  draining || stopping;
         });
       }
 
+      // Due retries go first (they were admitted before anything still
+      // queued), then fresh requests fill the batch up to max_batch.
       std::vector<std::unique_ptr<Request>> batch;
-      const int take =
-          std::min<int>(opts.max_batch, static_cast<int>(queue.size()));
+      const Clock::time_point now = Clock::now();
+      while (!retrying.empty() && retrying.begin()->first <= now &&
+             static_cast<int>(batch.size()) < opts.max_batch) {
+        batch.push_back(std::move(retrying.begin()->second));
+        retrying.erase(retrying.begin());
+      }
       const index_t depth_at_dispatch = static_cast<index_t>(queue.size());
-      for (int i = 0; i < take; ++i) {
+      while (!queue.empty() &&
+             static_cast<int>(batch.size()) < opts.max_batch) {
         std::unique_ptr<Request> r = std::move(queue.front());
         queue.pop_front();
         const index_t n = r->a.rows();
         queued_bytes -= static_cast<long long>(n) * n * 8;
+        r->dispatched_at = now;
+        ++in_flight;
         batch.push_back(std::move(r));
       }
-      in_flight += take;
       note_depth_locked();
 
       lk.unlock();
@@ -333,15 +347,6 @@ struct ServeCore::Impl {
     }
   }
 
-  /// One request's place in a dispatched batch, after triage.
-  struct Slot {
-    std::unique_ptr<Request> req;
-    bool vectors = false;  // effective, post-degrade
-    plan::EvdMode mode = plan::EvdMode::kStandard;  // effective, post-degrade
-    bool was_degraded = false;
-    double queue_ms = 0.0;
-  };
-
   /// Solve one dispatched batch. Never lets an exception escape to the
   /// dispatcher thread (which would std::terminate the process and leave
   /// the batch's promises unresolved): a batch-level throw — planner
@@ -350,10 +355,8 @@ struct ServeCore::Impl {
   /// the exactly-once accounting and the dispatcher alive.
   void process(std::vector<std::unique_ptr<Request>> batch,
                index_t depth_at_dispatch) {
-    std::vector<Slot> slots;
-    slots.reserve(batch.size());
     try {
-      process_batch(batch, slots, depth_at_dispatch);
+      process_batch(batch, depth_at_dispatch);
     } catch (...) {
       ErrorCode code = ErrorCode::kUnknown;
       std::string msg = "serve: batch dispatch failed";
@@ -373,101 +376,69 @@ struct ServeCore::Impl {
                           static_cast<long long>(code),
                           static_cast<long long>(batch.size()), 0);
       obs::flight::dump("serve batch dispatch failure: " + msg);
-      for (Slot& s : slots) {
-        if (!s.req) continue;  // already resolved (or handed to retry)
-        const bool probe = s.req->probe;
-        fail(std::move(s.req), code, msg, s.queue_ms, 0.0, 0, probe);
-      }
       for (auto& req : batch) {
-        if (!req) continue;  // moved into a slot during triage
-        const bool probe = req->probe;
-        fail(std::move(req), code, msg, 0.0, 0.0, 0, probe);
+        if (req) fail(std::move(req), code, msg);  // null: resolved or retrying
       }
     }
   }
 
-  /// process() body: degrade, group by shape bucket, one eigh_batched per
-  /// bucket with the warm shared plan, then walk each slot through the
-  /// retry/breaker ladder. Requests move from `batch` into `slots` at
-  /// triage so the caller's backstop can resolve whatever is left on an
-  /// escape at any point.
+  /// process() body: triage, group by shape bucket, one eigh_batched per
+  /// bucket with the warm shared plan, then walk each failed request down
+  /// the retry/breaker ladder. A request leaves `batch` (its pointer goes
+  /// null) once it is resolved or back on the retry list, so the caller's
+  /// backstop can resolve whatever is left on an escape at any point.
   void process_batch(std::vector<std::unique_ptr<Request>>& batch,
-                     std::vector<Slot>& slots, index_t depth_at_dispatch) {
+                     index_t depth_at_dispatch) {
     ServeMetrics& m = ServeMetrics::get();
     obs::Span span("serve.batch");
     span.attr("requests", static_cast<long long>(batch.size()));
-    const Clock::time_point dispatch_tp = Clock::now();
 
-    // Per-request triage: expire, degrade, or enqueue for the bucket solve.
-    // `serve_request` fires here — a simulated transient failure of the
-    // request's first attempt, sending it straight to the retry rung.
+    // Per-request triage: expire, degrade (first dispatch only; a retry
+    // keeps its first triage), or join its bucket's solve. `serve_request`
+    // fires here — a simulated transient failure of this attempt, checked
+    // on retries too so a persistently armed site walks a request all the
+    // way down the ladder instead of always being rescued by a retry.
     std::map<std::string, std::vector<std::size_t>> groups;
-    for (auto& req : batch) {
-      Slot s;
-      s.queue_ms = ms_between(req->submitted_at, dispatch_tp);
-      s.vectors = req->ropts.vectors;
-      s.mode = req->ropts.mode;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      std::unique_ptr<Request>& req = batch[i];
+      const bool retry = req->retries > 0;
       if (req->token->stop_requested()) {
-        const bool probe = req->probe;
         fail(std::move(req), ErrorCode::kCancelled,
-             "serve: deadline expired before solve", s.queue_ms, 0.0, 0,
-             probe);
+             retry ? "serve: deadline expired before retry"
+                   : "serve: deadline expired before solve");
         continue;
       }
-      const bool precision_rung = opts.allow_precision_degraded &&
-                                  req->ropts.allow_precision_degraded &&
-                                  s.mode == plan::EvdMode::kStandard;
-      if (s.vectors && req->ropts.allow_degraded &&
-          (opts.allow_degraded || precision_rung)) {
-        const bool pressure = opts.degrade_queue_depth > 0 &&
-                              depth_at_dispatch > opts.degrade_queue_depth;
-        bool deadline_pressure = false;
-        if (req->ropts.deadline_ms > 0.0) {
-          const double expect = expected_vectors_ms(req->a.rows());
-          deadline_pressure =
-              expect > 0.0 && req->token->remaining_ms() < expect;
-        }
-        if (pressure || deadline_pressure) {
-          if (precision_rung) {
-            // First rung: keep the vectors, drop the reduction to FP32 +
-            // FP64 refinement (opt-in — it changes result bits vs FP64).
-            s.mode = plan::EvdMode::kMixedPrecision;
-          } else {
-            s.vectors = false;
-          }
-          s.was_degraded = true;
-        }
-      }
-      const std::string key = plan::cache_key(plan::ProblemShape{
-          std::max<index_t>(req->a.rows(), 1), s.vectors, 0, s.mode});
-      s.req = std::move(req);
+      if (!retry) degrade_under_pressure(*req, depth_at_dispatch);
       if (fault::should_fire("serve_request")) {
-        // Transient first-attempt failure: take the retry ladder solo.
-        enqueue_retry(std::move(s), key, ErrorCode::kFaultInjected,
-                      "serve: fault injected in request solve "
-                      "(serve_request)");
+        route_failure(std::move(req), ErrorCode::kFaultInjected,
+                      retry ? "serve: fault injected in retry solve "
+                              "(serve_request)"
+                            : "serve: fault injected in request solve "
+                              "(serve_request)");
         continue;
       }
-      slots.push_back(std::move(s));
-      groups[key].push_back(slots.size() - 1);
+      groups[plan::cache_key(plan::ProblemShape{
+                 std::max<index_t>(req->a.rows(), 1), req->vectors, 0,
+                 req->mode})]
+          .push_back(i);
     }
 
     // One eigh_batched per shape bucket, every problem sharing the
     // bucket's warm plan and carrying its own cancellation token. A throw
     // out of one bucket's planner pass or batch dispatch fails only that
-    // bucket's still-unresolved slots; the other buckets still solve.
+    // bucket's still-unresolved requests; the other buckets still solve.
     for (auto& [key, idxs] : groups) {
       try {
         // Bucket-level work (the warm-plan pass, the batch-span bookkeeping)
         // is attributed to the bucket's first request; per-problem spans get
-        // their own slot's context via BatchOptions::trace_contexts.
-        obs::ContextScope ctx_scope(slots[idxs[0]].req->ctx);
+        // their own request's context via BatchOptions::trace_contexts.
+        const Request& head = *batch[idxs[0]];
+        obs::ContextScope ctx_scope(head.ctx);
         const plan::Plan* plan =
-            warm_plan(key, slots[idxs[0]].vectors, slots[idxs[0]].mode,
-                      slots[idxs[0]].req->a.rows());
+            warm_plan(key, head.vectors, head.mode, head.a.rows());
         eig::BatchOptions bopts;
-        bopts.vectors = slots[idxs[0]].vectors;
-        bopts.mode = slots[idxs[0]].mode;
+        bopts.vectors = head.vectors;
+        bopts.mode = head.mode;
         bopts.plan = opts.plan;
         bopts.solver = opts.solver;
         bopts.check_finite = opts.check_finite;
@@ -478,281 +449,176 @@ struct ServeCore::Impl {
         bopts.tokens.reserve(idxs.size());
         bopts.trace_contexts.reserve(idxs.size());
         for (const std::size_t i : idxs) {
-          views.push_back(slots[i].req->a.view());
-          bopts.tokens.push_back(slots[i].req->token.get());
-          bopts.trace_contexts.push_back(slots[i].req->ctx);
+          views.push_back(batch[i]->a.view());
+          bopts.tokens.push_back(batch[i]->token.get());
+          bopts.trace_contexts.push_back(batch[i]->ctx);
         }
         {
           std::lock_guard<std::mutex> lk(mu);
           ++batches;
         }
         m.batches->inc();
-        const eig::BatchResult br = eig::eigh_batched(views, bopts);
+        eig::BatchResult br = eig::eigh_batched(views, bopts);
         const double per_problem_ms =
             br.seconds * 1e3 / static_cast<double>(idxs.size());
 
         for (std::size_t j = 0; j < idxs.size(); ++j) {
-          Slot& s = slots[idxs[j]];
-          const double solve_ms = ms_between(dispatch_tp, Clock::now());
+          std::unique_ptr<Request>& req = batch[idxs[j]];
           if (br.status[j].ok) {
-            if (s.vectors) note_vectors_ms(key, per_problem_ms);
-            succeed(std::move(s.req), eig::EvdResult(br.results[j]),
-                    s.was_degraded, s.queue_ms, solve_ms, 0);
+            if (req->vectors) note_vectors_ms(key, per_problem_ms);
+            succeed(std::move(req), std::move(br.results[j]));
           } else {
-            route_failure(std::move(s), key, br.status[j].code,
-                          br.status[j].message, solve_ms);
+            route_failure(std::move(req), br.status[j].code,
+                          br.status[j].message);
           }
         }
       } catch (const Error& err) {
-        fail_bucket(slots, idxs, key, err.code(), err.what(), dispatch_tp);
+        fail_bucket(batch, idxs, err.code(), err.what());
       } catch (const std::exception& err) {
-        fail_bucket(slots, idxs, key, ErrorCode::kUnknown,
-                    std::string("serve: bucket solve failed: ") + err.what(),
-                    dispatch_tp);
+        fail_bucket(batch, idxs, ErrorCode::kUnknown,
+                    std::string("serve: bucket solve failed: ") + err.what());
       }
     }
   }
 
-  /// Route one failed slot down the ladder: cancellation fails alone,
-  /// transient codes go to the retry executor, everything else counts
-  /// against the bucket breaker and fails typed.
-  void route_failure(Slot&& s, const std::string& key, ErrorCode code,
-                     const std::string& msg, double solve_ms) {
+  /// The degradation rung: under queue pressure, or when the remaining
+  /// deadline is below the bucket's observed vectors-solve time, a vectors
+  /// request that both the server and the request allow to degrade runs
+  /// eigenvalues-only instead of missing its deadline.
+  void degrade_under_pressure(Request& req, index_t depth_at_dispatch) {
+    if (!req.vectors || !opts.allow_degraded || !req.ropts.allow_degraded) {
+      return;
+    }
+    const bool pressure = opts.degrade_queue_depth > 0 &&
+                          depth_at_dispatch > opts.degrade_queue_depth;
+    bool deadline_pressure = false;
+    if (req.ropts.deadline_ms > 0.0) {
+      const double expect = expected_vectors_ms(req.a.rows());
+      deadline_pressure = expect > 0.0 && req.token->remaining_ms() < expect;
+    }
+    if (pressure || deadline_pressure) {
+      req.vectors = false;
+      req.degraded = true;
+    }
+  }
+
+  /// Route one failed attempt down the ladder: cancellation fails alone, a
+  /// transient failure with retry budget left goes back on the retry list,
+  /// everything else counts against the bucket breaker and fails typed.
+  void route_failure(std::unique_ptr<Request> req, ErrorCode code,
+                     const std::string& msg) {
     if (code == ErrorCode::kCancelled) {
-      const bool probe = s.req->probe;
-      fail(std::move(s.req), ErrorCode::kCancelled, msg, s.queue_ms,
-           solve_ms, 0, probe);
-    } else if (transient(code)) {
-      enqueue_retry(std::move(s), key, code, msg);
+      fail(std::move(req), code, msg);
+    } else if (transient(code) && req->retries < opts.max_retries) {
+      schedule_retry(std::move(req));
     } else {
-      const bool probe = s.req->probe;
-      breaker_failure(s.req->admit_key, probe);
-      fail(std::move(s.req), code, msg, s.queue_ms, solve_ms, 0, probe);
+      breaker_failure(req->admit_key, req->probe);
+      fail(std::move(req), code, msg);
     }
   }
 
   /// A bucket-level failure (the planner pass or eigh_batched itself
-  /// threw): every slot of the bucket not yet resolved takes the same
+  /// threw): every request of the bucket not yet resolved takes the same
   /// ladder a per-slot failure would.
-  void fail_bucket(std::vector<Slot>& slots,
-                   const std::vector<std::size_t>& idxs,
-                   const std::string& key, ErrorCode code,
-                   const std::string& msg, Clock::time_point dispatch_tp) {
+  void fail_bucket(std::vector<std::unique_ptr<Request>>& batch,
+                   const std::vector<std::size_t>& idxs, ErrorCode code,
+                   const std::string& msg) {
     for (const std::size_t i : idxs) {
-      if (!slots[i].req) continue;
-      route_failure(std::move(slots[i]), key, code, msg,
-                    ms_between(dispatch_tp, Clock::now()));
+      if (batch[i]) route_failure(std::move(batch[i]), code, msg);
     }
   }
 
-  /// Hand a transient failure to the retry executor so the dispatcher
-  /// keeps draining the queue during the backoff and solo re-solve — one
-  /// retrying request must not head-of-line block every queued request
-  /// behind its backoff sleep. The slot stays accounted as in-flight
-  /// until retry_or_fail resolves it on the executor thread.
-  void enqueue_retry(Slot&& s, const std::string& key, ErrorCode code,
-                     const std::string& msg) {
-    auto sp = std::make_shared<Slot>(std::move(s));
-    std::lock_guard<std::mutex> lk(retry_mu);
-    retry_q.push_back([this, sp, key, code, msg] {
-      retry_or_fail(std::move(*sp), key, code, msg);
-    });
-    retry_cv.notify_one();
-  }
-
-  /// Retry executor thread: runs queued retry jobs to resolution, exits
-  /// only when told to stop (after the dispatcher joined) AND the queue
-  /// is empty, so every handed-off request still resolves exactly once.
-  void retry_loop() {
-    std::unique_lock<std::mutex> lk(retry_mu);
-    for (;;) {
-      retry_cv.wait(lk, [&] { return !retry_q.empty() || retry_stop; });
-      if (retry_q.empty()) return;  // retry_stop and nothing left
-      std::function<void()> job = std::move(retry_q.front());
-      retry_q.pop_front();
-      lk.unlock();
-      job();
-      lk.lock();
-    }
-  }
-
-  /// The retry rung: jittered backoff, then a solo re-solve under the same
-  /// token and bucket plan (bitwise-identical configuration to the batch
-  /// slot). A second transient failure beyond max_retries, or any
-  /// non-transient one, drops to the failure rung. Runs on the retry
-  /// executor thread and never throws (an escape would std::terminate).
-  void retry_or_fail(Slot&& s, const std::string& key, ErrorCode first_code,
-                     const std::string& first_msg) {
-    // The solo re-solve runs on the retry executor thread: re-install the
-    // request's context so its spans stay attributed across the handoff.
-    obs::ContextScope ctx_scope(s.req->ctx);
-    ServeMetrics& m = ServeMetrics::get();
-    ErrorCode code = first_code;
-    std::string msg = first_msg;
-    const Clock::time_point t0 = Clock::now();
-    while (s.req->retries < opts.max_retries) {
-      ++s.req->retries;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        ++retries;
-      }
-      m.retries->inc();
-      backoff();
-      if (s.req->token->stop_requested()) {
-        code = ErrorCode::kCancelled;
-        msg = "serve: deadline expired before retry";
-        break;
-      }
-      // A persistently-armed serve_request site fails the retry too, so
-      // the injection matrix can walk a request all the way down the
-      // ladder instead of always being rescued by the first retry.
-      if (fault::should_fire("serve_request")) {
-        code = ErrorCode::kFaultInjected;
-        msg = "serve: fault injected in retry solve (serve_request)";
-        continue;
-      }
-      try {
-        const plan::Plan* plan =
-            warm_plan(key, s.vectors, s.mode, s.req->a.rows());
-        eig::EvdOptions popt;
-        popt.vectors = s.vectors;
-        popt.mode = s.mode;
-        popt.solver = opts.solver;
-        popt.tridiag.threads = 1;
-        popt.tridiag.bc_threads = 1;
-        popt.check_finite = opts.check_finite;
-        cancel::Scope scope(s.req->token.get());
-        eig::EvdResult r = eig::eigh(s.req->a.view(), popt, *plan);
-        const double solve_ms = ms_between(t0, Clock::now());
-        const int used = s.req->retries;
-        succeed(std::move(s.req), std::move(r), s.was_degraded, s.queue_ms,
-                solve_ms, used);
-        return;
-      } catch (const Error& err) {
-        code = err.code();
-        msg = err.what();
-        if (!transient(code)) break;
-      } catch (const std::exception& err) {
-        code = ErrorCode::kUnknown;
-        msg = err.what();
-        break;
-      } catch (...) {
-        code = ErrorCode::kUnknown;
-        msg = "serve: retry solve failed with an untyped exception";
-        break;
-      }
-    }
-    const double solve_ms = ms_between(t0, Clock::now());
-    const bool probe = s.req->probe;
-    const int used = s.req->retries;
-    if (code != ErrorCode::kCancelled) {
-      breaker_failure(s.req->admit_key, probe);
-    }
-    fail(std::move(s.req), code, msg, s.queue_ms, solve_ms, used, probe);
-  }
-
-  void backoff() {
-    double jitter;
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      jitter = jitter_dist(rng);
-    }
-    const double ms = opts.retry_backoff_ms * jitter;
-    if (ms > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(static_cast<long long>(ms * 1e3)));
-    }
+  /// The retry rung: the request waits out a deterministic jittered
+  /// backoff on the dispatcher's retry list and then runs as an ordinary
+  /// slot of its bucket's next dispatch, under the same token and bucket
+  /// plan. Nothing sleeps, so a backoff never holds up another request.
+  /// The request stays in flight until that dispatch resolves it.
+  void schedule_retry(std::unique_ptr<Request> req) {
+    ++req->retries;
+    ServeMetrics::get().retries->inc();
+    std::lock_guard<std::mutex> lk(mu);
+    ++retries;
+    const double backoff_ms = opts.retry_backoff_ms * jitter_dist(rng);
+    retrying.emplace(Clock::now() + ms_duration(backoff_ms), std::move(req));
   }
 
   // ---- resolution ----------------------------------------------------
 
-  void succeed(std::unique_ptr<Request> req, eig::EvdResult&& result,
-               bool was_degraded, double queue_ms, double solve_ms,
-               int used_retries) {
+  void succeed(std::unique_ptr<Request> req, eig::EvdResult&& result) {
     ServeMetrics& m = ServeMetrics::get();
     breaker_success(req->admit_key, req->probe);
-    Response r;
-    r.outcome = was_degraded ? Outcome::kDegraded : Outcome::kCompleted;
+    Response r = timed_response(*req);
+    r.outcome = req->degraded ? Outcome::kDegraded : Outcome::kCompleted;
     r.mode = result.mode;  // effective: post-degrade, post-recovery
-    // The precision rung keeps the vectors; a degraded resolution that
-    // still carries them (or that fell back fp32->fp64, mode kStandard
-    // with a recovery tag) took that rung rather than eigenvalues-only.
-    const bool precision_rung =
-        was_degraded && r.mode != plan::EvdMode::kValuesOnly;
     r.result = std::move(result);
-    r.queue_ms = queue_ms;
-    r.solve_ms = solve_ms;
-    r.retries = used_retries;
-    r.request_id = req->ctx.request_id;
-    const double latency = ms_between(req->submitted_at, Clock::now());
+    // Recorded before the drain notification, so stats() after drain()
+    // covers every resolution.
+    const double latency = record_latency(*req);
     {
       std::lock_guard<std::mutex> lk(mu);
-      if (was_degraded) {
-        ++degraded;
-        if (precision_rung) ++precision_degraded;
-      } else {
-        ++completed;
-      }
-      note_latency_locked(latency);
+      ++(req->degraded ? degraded : completed);
       --in_flight;
       if (queue.empty() && in_flight == 0) drain_cv.notify_all();
     }
-    (was_degraded ? m.degraded : m.completed)->inc();
-    if (precision_rung) m.precision_degraded->inc();
-    m.latency_us->record(static_cast<long long>(latency * 1e3));
-    record_latency_ms(latency, req->label);
+    (req->degraded ? m.degraded : m.completed)->inc();
     obs::flight::record(obs::flight::EventKind::kMarker, "serve.resolve",
-                        std::llround(latency * 1e3), was_degraded ? 1 : 0,
+                        std::llround(latency * 1e3), req->degraded ? 1 : 0,
                         req->ctx.request_id);
     log_request(req->ctx.request_id, req->label, r.outcome,
-                ErrorCode::kUnknown, queue_ms, solve_ms, used_retries,
-                was_degraded, r.result.plan_source);
+                ErrorCode::kUnknown, r.queue_ms, r.solve_ms, r.retries,
+                req->degraded, r.result.plan_source);
     req->promise.set_value(std::move(r));
   }
 
   void fail(std::unique_ptr<Request> req, ErrorCode code,
-            const std::string& msg, double queue_ms, double solve_ms,
-            int used_retries, bool was_probe) {
+            const std::string& msg) {
     ServeMetrics& m = ServeMetrics::get();
-    if (was_probe) release_probe(req->admit_key);
-    Response r;
+    if (req->probe) release_probe(req->admit_key);
+    Response r = timed_response(*req);
     r.outcome = Outcome::kFailed;
     r.code = code;
     r.message = msg;
-    r.queue_ms = queue_ms;
-    r.solve_ms = solve_ms;
-    r.retries = used_retries;
-    r.request_id = req->ctx.request_id;
-    const double latency = ms_between(req->submitted_at, Clock::now());
+    record_latency(*req);
     {
       std::lock_guard<std::mutex> lk(mu);
       ++failed;
       if (code == ErrorCode::kCancelled) ++deadline_failures;
-      note_latency_locked(latency);
       --in_flight;
       if (queue.empty() && in_flight == 0) drain_cv.notify_all();
     }
     m.failed->inc();
     if (code == ErrorCode::kCancelled) m.deadline_failures->inc();
-    m.latency_us->record(static_cast<long long>(latency * 1e3));
-    record_latency_ms(latency, req->label);
     obs::flight::record(obs::flight::EventKind::kError, "serve.fail",
-                        static_cast<long long>(code), used_retries,
+                        static_cast<long long>(code), r.retries,
                         req->ctx.request_id);
     log_request(req->ctx.request_id, req->label, Outcome::kFailed, code,
-                queue_ms, solve_ms, used_retries, false, "");
+                r.queue_ms, r.solve_ms, r.retries, false, "");
     req->promise.set_value(std::move(r));
   }
 
-  /// Feed one resolution latency into the explicit-bound histograms: the
-  /// per-instance aggregate behind ServeStats::hist_p*, and the registry's
-  /// labelled "serve.latency_ms" series (the "" aggregate plus this
-  /// request's shape bucket) behind the OpenMetrics exposition.
-  void record_latency_ms(double ms, const std::string& label) {
+  /// A response stamped with the request's id, retry count and timing:
+  /// queue_ms up to the first dispatch, solve_ms from there to now.
+  static Response timed_response(const Request& req) {
+    Response r;
+    r.queue_ms = ms_between(req.submitted_at, req.dispatched_at);
+    r.solve_ms = ms_between(req.dispatched_at, Clock::now());
+    r.retries = req.retries;
+    r.request_id = req.ctx.request_id;
+    return r;
+  }
+
+  /// Record one resolution's submit-to-now latency, once in this
+  /// instance's ladder histogram (ServeStats percentiles) and once in the
+  /// process-wide "serve.latency_ms" family (its "" aggregate and the
+  /// request's shape-bucket series, behind the OpenMetrics and JSON
+  /// exports). Returns the latency in ms.
+  double record_latency(const Request& req) {
+    const double ms = ms_between(req.submitted_at, Clock::now());
     latency_hist.record(ms);
-    obs::Registry& r = obs::Registry::global();
-    r.latency("serve.latency_ms", "")->record(ms);
-    r.latency("serve.latency_ms", label)->record(ms);
+    obs::Registry& reg = obs::Registry::global();
+    reg.latency("serve.latency_ms", "")->record(ms);
+    reg.latency("serve.latency_ms", req.label)->record(ms);
+    return ms;
   }
 
   // ---- breaker / plan / ewma (mu) ------------------------------------
@@ -773,8 +639,7 @@ struct ServeCore::Impl {
       // Failed half-open probe: reopen for another full window.
       b.probing = false;
       b.open = true;
-      b.open_until = Clock::now() + std::chrono::microseconds(static_cast<
-                         long long>(opts.breaker_open_ms * 1e3));
+      b.open_until = Clock::now() + ms_duration(opts.breaker_open_ms);
       ++breaker_trips;
       m.breaker_trips->inc();
       return;
@@ -783,8 +648,7 @@ struct ServeCore::Impl {
     if (!b.open && opts.breaker_threshold > 0 &&
         b.consecutive >= opts.breaker_threshold) {
       b.open = true;
-      b.open_until = Clock::now() + std::chrono::microseconds(static_cast<
-                         long long>(opts.breaker_open_ms * 1e3));
+      b.open_until = Clock::now() + ms_duration(opts.breaker_open_ms);
       ++breaker_trips;
       m.breaker_trips->inc();
     }
@@ -865,24 +729,6 @@ struct ServeCore::Impl {
     e = e == 0.0 ? ms : 0.7 * e + 0.3 * ms;
   }
 
-  /// Bounded latency sample (Algorithm R reservoir, deterministic rng):
-  /// exact percentiles until kLatencyReservoir requests have resolved, a
-  /// uniform sample of the whole history after — memory stays flat and
-  /// stats() stays O(capacity) for the long-running-service case. The
-  /// serve.latency_us histogram remains the exact aggregate record.
-  void note_latency_locked(double ms) {
-    ++latency_seen;
-    if (latencies_ms.size() < kLatencyReservoir) {
-      latencies_ms.push_back(ms);
-      return;
-    }
-    std::uniform_int_distribution<long long> pick(0, latency_seen - 1);
-    const long long j = pick(reservoir_rng);
-    if (j < static_cast<long long>(kLatencyReservoir)) {
-      latencies_ms[static_cast<std::size_t>(j)] = ms;
-    }
-  }
-
   // ---- drain / stats -------------------------------------------------
 
   bool drain(double timeout_ms) {
@@ -894,15 +740,11 @@ struct ServeCore::Impl {
       drain_cv.wait(lk, done);
       return true;
     }
-    return drain_cv.wait_for(
-        lk,
-        std::chrono::microseconds(static_cast<long long>(timeout_ms * 1e3)),
-        done);
+    return drain_cv.wait_for(lk, ms_duration(timeout_ms), done);
   }
 
   ServeStats stats() const {
     ServeStats s;
-    std::vector<double> lat;
     {
       std::lock_guard<std::mutex> lk(mu);
       s.submitted = submitted;
@@ -910,7 +752,6 @@ struct ServeCore::Impl {
       s.rejected = rejected;
       s.completed = completed;
       s.degraded = degraded;
-      s.precision_degraded = precision_degraded;
       s.failed = failed;
       s.retries = retries;
       s.breaker_trips = breaker_trips;
@@ -918,24 +759,10 @@ struct ServeCore::Impl {
       s.deadline_failures = deadline_failures;
       s.queue_depth = static_cast<long long>(queue.size());
       s.queue_depth_hwm = depth_hwm;
-      lat = latencies_ms;
     }
-    if (!lat.empty()) {
-      std::sort(lat.begin(), lat.end());
-      const auto pct = [&](double p) {
-        const std::size_t i = static_cast<std::size_t>(
-            p * static_cast<double>(lat.size() - 1) + 0.5);
-        return lat[std::min(i, lat.size() - 1)];
-      };
-      s.p50_ms = pct(0.50);
-      s.p95_ms = pct(0.95);
-      s.p99_ms = pct(0.99);
-    }
-    if (latency_hist.count() > 0) {
-      s.hist_p50_ms = latency_hist.percentile(0.50);
-      s.hist_p95_ms = latency_hist.percentile(0.95);
-      s.hist_p99_ms = latency_hist.percentile(0.99);
-    }
+    s.p50_ms = latency_hist.percentile(0.50);
+    s.p95_ms = latency_hist.percentile(0.95);
+    s.p99_ms = latency_hist.percentile(0.99);
     return s;
   }
 
@@ -946,8 +773,11 @@ struct ServeCore::Impl {
   std::condition_variable cv;        // queue activity / shutdown
   std::condition_variable drain_cv;  // queue empty and nothing in flight
   std::deque<std::unique_ptr<Request>> queue;
+  // Transient failures waiting out their backoff, by due time (equal due
+  // times keep insertion order). Owned by the dispatcher under `mu`.
+  std::multimap<Clock::time_point, std::unique_ptr<Request>> retrying;
   long long queued_bytes = 0;
-  int in_flight = 0;  // popped, not yet resolved
+  int in_flight = 0;  // popped, not yet resolved (retries included)
   bool draining = false;
   bool stopping = false;
 
@@ -956,7 +786,6 @@ struct ServeCore::Impl {
   long long rejected = 0;
   long long completed = 0;
   long long degraded = 0;
-  long long precision_degraded = 0;
   long long failed = 0;
   long long retries = 0;
   long long breaker_trips = 0;
@@ -964,13 +793,9 @@ struct ServeCore::Impl {
   long long deadline_failures = 0;
   long long depth_hwm = 0;
 
-  static constexpr std::size_t kLatencyReservoir = 4096;
-  std::vector<double> latencies_ms;  // bounded: note_latency_locked
-  long long latency_seen = 0;
-
-  // Per-instance aggregate of the canonical latency ladder (lock-free;
-  // recorded outside mu). Backs ServeStats::hist_p50/p95/p99 without
-  // cross-instance pollution from the shared registry series.
+  // Per-instance latency record on the canonical ladder (lock-free;
+  // recorded outside mu), behind ServeStats::p50/p95/p99_ms, free of other
+  // instances' resolutions in the shared registry series.
   int latency_nb = 0;
   const double* latency_bounds = obs::latency_bounds_ms(&latency_nb);
   obs::BoundedHistogram latency_hist{latency_bounds, latency_nb};
@@ -979,20 +804,11 @@ struct ServeCore::Impl {
   std::map<std::string, PlanSlot> plans;
   std::map<std::string, double> solve_ewma_ms;  // vectors solves, per bucket
 
-  // Deterministic backoff jitter and reservoir sampling (fixed seeds:
-  // reproducible schedules and samples).
+  // Deterministic backoff jitter (fixed seed: reproducible schedules).
   std::mt19937 rng{0x5eedu};
   std::uniform_real_distribution<double> jitter_dist{0.5, 1.5};
-  std::mt19937_64 reservoir_rng{0x7e5e70a1ull};
 
   std::thread dispatcher;
-
-  // Retry executor (its own mutex: jobs lock `mu` while resolving).
-  std::mutex retry_mu;
-  std::condition_variable retry_cv;
-  std::deque<std::function<void()>> retry_q;
-  bool retry_stop = false;
-  std::thread retry_worker;
 };
 
 ServeCore::ServeCore(const ServeOptions& opts) {

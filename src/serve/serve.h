@@ -10,7 +10,8 @@
 //
 //   admission   — queue full, memory budget exceeded, bucket breaker open,
 //                 or draining: the request is REJECTED synchronously with
-//                 Error-code semantics (kOverloaded), never queued.
+//                 Error-code semantics (kOverloaded), never queued. An
+//                 injected `serve_admit` fault rejects with kFaultInjected.
 //   deadline    — a request whose deadline expires mid-solve unwinds with
 //                 kCancelled at the next phase boundary (sy2sb/DBBR block,
 //                 bulge-chase sweep claim, D&C merge, back-transform panel)
@@ -18,18 +19,18 @@
 //                 reusable (asserted bitwise in tests/serve_test.cc).
 //   degradation — under queue pressure, or when the remaining deadline is
 //                 smaller than the bucket's observed vectors-solve time, a
-//                 vectors request degrades (outcome kDegraded) rather than
-//                 missing its deadline. The ladder has two rungs, tried in
-//                 order: mixed precision (FP32 compute + FP64 refinement,
-//                 vectors kept; OPT-IN via allow_precision_degraded, default
-//                 off) and eigenvalues-only (vectors dropped).
+//                 vectors request degrades to eigenvalues-only (outcome
+//                 kDegraded) rather than missing its deadline.
 //   retry       — transient failures (kFaultInjected) retry once
-//                 (max_retries) with jittered backoff, solo, under the
-//                 same token and bucket plan, on a dedicated retry
-//                 executor so the dispatcher keeps draining the queue
-//                 during the backoff. kPipelineStall is deliberately not
-//                 retried: a drain stall may abandon a wedged worker, so
-//                 it fails typed instead.
+//                 (max_retries) after a jittered backoff, under the same
+//                 token, bucket plan and first-dispatch triage. A waiting
+//                 retry sits on the dispatcher's due-time list, and once
+//                 due runs as an ordinary slot of its bucket's next
+//                 eigh_batched dispatch, so no thread sleeps through a
+//                 backoff and other requests keep flowing.
+//                 kPipelineStall is deliberately not retried: a drain
+//                 stall may abandon a wedged worker, so it fails typed
+//                 instead.
 //   breaker     — breaker_threshold consecutive non-cancellation failures
 //                 in one shape bucket trip a per-bucket circuit breaker:
 //                 subsequent requests for that bucket are shed at admission
@@ -46,13 +47,13 @@
 // to a standalone eigh() with batch_bucket_plan(n), whatever the batch
 // composition, retry count, or arrival order.
 //
-// Observability: serve.* metrics (docs/ALGORITHMS.md §12), a serve.request
+// Observability: serve.* metrics (docs/ALGORITHMS.md §12), a serve.batch
 // span per dispatch, a latency histogram behind ServeStats p50/p95/p99.
 // Fault sites `serve_admit` (admission rejects) and `serve_request`
 // (transient solve failure, exercising the retry ladder) plug into the CI
 // fault matrix. Every submit mints a process-unique request id
 // (obs::next_request_id) whose obs::TraceContext travels with the request
-// through the dispatcher, eigh_batched slots, and the retry executor, so
+// through the dispatcher and its eigh_batched slots, retries included, so
 // armed traces reconstruct one flow per request and flight-recorder dumps
 // name the owning request. Resolutions feed per-shape-bucket explicit-bound
 // latency histograms ("serve.latency_ms", OpenMetrics-exposable via
@@ -98,12 +99,6 @@ struct ServeOptions {
   double retry_backoff_ms = 5.0;
   /// Server-wide switch for the eigenvalues-only degradation rung.
   bool allow_degraded = true;
-  /// Server-wide switch for the mixed-precision degradation rung, tried
-  /// BEFORE eigenvalues-only: a standard-mode vectors request under
-  /// pressure keeps its vectors but runs the FP32 engine + FP64 refinement
-  /// (plan::EvdMode::kMixedPrecision). Off by default — the rung changes
-  /// result bits versus the FP64 path, so a deployment must opt in.
-  bool allow_precision_degraded = false;
   /// Queue depth (at dispatch) beyond which vectors requests degrade to
   /// eigenvalues-only; 0 = never degrade on queue pressure alone.
   index_t degrade_queue_depth = 0;
@@ -126,16 +121,13 @@ struct RequestOptions {
   bool vectors = true;
   /// Requested execution mode (plan::EvdMode; normalization rules in
   /// eig::EvdOptions::mode). The response echoes the EFFECTIVE mode, which
-  /// may differ: degradation rungs and fp32->fp64 recovery both change it.
+  /// may differ: degradation and fp32->fp64 recovery both change it.
   plan::EvdMode mode = plan::EvdMode::kStandard;
   /// Relative deadline in ms from submit; 0 = none. Propagates as a
   /// cancel::Token deadline through every pipeline phase.
   double deadline_ms = 0.0;
-  /// Allow this request to take a degradation rung at all.
+  /// Allow this request to degrade to eigenvalues-only.
   bool allow_degraded = true;
-  /// Allow the mixed-precision rung specifically (requires the server-wide
-  /// ServeOptions::allow_precision_degraded opt-in as well).
-  bool allow_precision_degraded = true;
 };
 
 /// Exactly-once request resolution.
@@ -156,11 +148,11 @@ struct Response {
   std::string message;
   /// The execution mode that actually produced `result` (meaningful for
   /// kCompleted / kDegraded): the requested mode after any degradation
-  /// rung and any fp32->fp64 recovery inside the solve.
+  /// and any fp32->fp64 recovery inside the solve.
   plan::EvdMode mode = plan::EvdMode::kStandard;
   eig::EvdResult result;
-  double queue_ms = 0.0;  // admit -> dispatch
-  double solve_ms = 0.0;  // dispatch -> resolution (includes retries)
+  double queue_ms = 0.0;  // admit -> first dispatch
+  double solve_ms = 0.0;  // first dispatch -> resolution (includes retries)
   int retries = 0;        // transient-failure retries consumed
   /// Process-unique id minted at submit (even for synchronous rejects);
   /// the same id tags every armed-trace span and flight-recorder event
@@ -176,36 +168,27 @@ struct Ticket {
 };
 
 /// Service counters (exact; sampled live) and latency percentiles of
-/// resolved requests, computed over a bounded deterministic reservoir
-/// sample (exact until the reservoir fills, ~4k resolutions; the
-/// serve.latency_us histogram stays the exact aggregate record).
+/// resolved requests. Each percentile is read from this instance's latency
+/// histogram on the obs::latency_bounds_ms ladder (the ladder of the
+/// "serve.latency_ms" registry series): it is the upper bound of the bucket
+/// holding the percentile sample, so it overstates the sample by less than
+/// that bucket's width (a sample beyond the last bound reads as that bound).
 struct ServeStats {
   long long submitted = 0;
   long long admitted = 0;
   long long rejected = 0;
   long long completed = 0;
   long long degraded = 0;
-  /// Of `degraded`, the requests that took the mixed-precision rung
-  /// (vectors kept). degraded - precision_degraded took eigenvalues-only.
-  long long precision_degraded = 0;
   long long failed = 0;
   long long retries = 0;
   long long breaker_trips = 0;
-  long long batches = 0;            // eigh_batched dispatches
+  long long batches = 0;            // eigh_batched dispatches, retries included
   long long deadline_failures = 0;  // kCancelled resolutions
   long long queue_depth = 0;
   long long queue_depth_hwm = 0;
   double p50_ms = 0.0;  // submit -> resolution, resolved requests only
   double p95_ms = 0.0;
   double p99_ms = 0.0;
-  // The same percentiles estimated from the explicit-bound latency
-  // histogram (obs::latency_bounds_ms ladder) that backs the OpenMetrics
-  // "tdg_serve_latency_ms" series: each is the upper bound of the bucket
-  // holding the percentile sample, so it agrees with the reservoir-derived
-  // value above to within one bucket bound (asserted in serve_test).
-  double hist_p50_ms = 0.0;
-  double hist_p95_ms = 0.0;
-  double hist_p99_ms = 0.0;
 
   /// The exactly-once invariant: every submitted request has resolved to
   /// one outcome. Holds whenever no request is queued or in flight.
@@ -215,7 +198,8 @@ struct ServeStats {
 };
 
 /// The transport-agnostic service core. One dispatcher thread owns the
-/// queue; solves fan out through eigh_batched on the shared pool.
+/// queue and the retry list; solves fan out through eigh_batched on the
+/// shared pool.
 /// Thread-safe: submit()/stats()/drain() may race freely.
 class ServeCore {
  public:

@@ -193,18 +193,14 @@ std::string format_stats(const ServeStats& s) {
   std::snprintf(
       buf, sizeof(buf),
       "stats {\"submitted\":%lld,\"admitted\":%lld,\"rejected\":%lld,"
-      "\"completed\":%lld,\"degraded\":%lld,\"precision_degraded\":%lld,"
-      "\"failed\":%lld,"
+      "\"completed\":%lld,\"degraded\":%lld,\"failed\":%lld,"
       "\"retries\":%lld,\"breaker_trips\":%lld,\"batches\":%lld,"
       "\"deadline_failures\":%lld,\"queue_depth\":%lld,"
       "\"queue_depth_hwm\":%lld,\"p50_ms\":%.3f,\"p95_ms\":%.3f,"
-      "\"p99_ms\":%.3f,\"hist_p50_ms\":%.3f,\"hist_p95_ms\":%.3f,"
-      "\"hist_p99_ms\":%.3f,\"accounted\":%s}",
-      s.submitted, s.admitted, s.rejected, s.completed, s.degraded,
-      s.precision_degraded, s.failed,
+      "\"p99_ms\":%.3f,\"accounted\":%s}",
+      s.submitted, s.admitted, s.rejected, s.completed, s.degraded, s.failed,
       s.retries, s.breaker_trips, s.batches, s.deadline_failures,
       s.queue_depth, s.queue_depth_hwm, s.p50_ms, s.p95_ms, s.p99_ms,
-      s.hist_p50_ms, s.hist_p95_ms, s.hist_p99_ms,
       s.accounted() ? "true" : "false");
   return buf;
 }

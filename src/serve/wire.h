@@ -27,8 +27,8 @@
 //   err id=<n> req=<rid> outcome=rejected|failed code=<error-code> msg="..."
 //
 // `mode` echoes the EFFECTIVE execution mode (standard|values|mixed): a
-// degraded request reports the rung it landed on, and a mixed request that
-// fell back to full FP64 (recovery fp32->fp64) reports standard. The
+// degraded request reports values, and a mixed request that fell back to
+// full FP64 (recovery fp32->fp64) reports standard. The
 // framing — one space-separated line per resolution, key=value fields, ok/
 // err discriminator first — is unchanged from the pre-mode protocol.
 //   stats {...ServeStats as a JSON object...}

@@ -733,10 +733,17 @@ TEST(FaultEnv, ServeAccountsEveryRequestUnderInjection) {
     switch (r.outcome) {
       case serve::Outcome::kCompleted: ++completed; break;
       case serve::Outcome::kDegraded: ++degraded; break;
-      case serve::Outcome::kRejected:
+      case serve::Outcome::kRejected: {
         ++rejected;
-        EXPECT_EQ(r.code, ErrorCode::kOverloaded);
+        // An injected admission fault says why it shed the request
+        // (docs/ALGORITHMS.md §15); every other reject is kOverloaded.
+        const bool injected =
+            r.message.find("serve_admit") != std::string::npos;
+        EXPECT_EQ(r.code, injected ? ErrorCode::kFaultInjected
+                                   : ErrorCode::kOverloaded)
+            << r.message;
         break;
+      }
       case serve::Outcome::kFailed:
         ++failed;
         EXPECT_NE(r.code, ErrorCode::kUnknown);

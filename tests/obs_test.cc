@@ -170,6 +170,25 @@ TEST(Metrics, SnapshotJsonParsesWithCanonicalKeys) {
   const json::Value* buckets = qw->find("buckets");
   ASSERT_NE(buckets, nullptr);
   EXPECT_EQ(buckets->kind, json::Value::kArray);
+
+  // The serve latency family, rendered as OpenMetrics renders it: the
+  // aggregate series under "all", one count per ladder bound plus +Inf.
+  const json::Value* latency = root.find("latency");
+  ASSERT_NE(latency, nullptr);
+  const json::Value* family = latency->find("serve.latency_ms");
+  ASSERT_NE(family, nullptr);
+  const json::Value* all = family->find("all");
+  ASSERT_NE(all, nullptr);
+  EXPECT_NE(all->find("count"), nullptr);
+  EXPECT_NE(all->find("sum"), nullptr);
+  const json::Value* bounds = all->find("bounds");
+  const json::Value* counts = all->find("buckets");
+  ASSERT_NE(bounds, nullptr);
+  ASSERT_NE(counts, nullptr);
+  int nb = 0;
+  obs::latency_bounds_ms(&nb);
+  EXPECT_EQ(bounds->arr.size(), static_cast<std::size_t>(nb));
+  EXPECT_EQ(counts->arr.size(), static_cast<std::size_t>(nb) + 1);
 }
 
 TEST(Metrics, PoolCountersObserveWork) {

@@ -21,8 +21,6 @@
 //     counts (the mode axis must not perturb the legacy path)
 //   - wire protocol: mode=/prec= parse, agree/conflict rules, strict
 //     unknown-field rejection
-//   - serve: the opt-in precision rung degrades under queue pressure while
-//     KEEPING eigenvectors, accounted in stats().precision_degraded
 //   - batch: per-slot modes solve heterogeneous mode mixes in one call
 //   - plan-cache keys for default FP64 shapes are unchanged (old cache
 //     files stay loadable); only kFp32 extends the key
@@ -422,43 +420,6 @@ TEST(WireMode, OkLineEchoesEffectiveMode) {
   r.mode = plan::EvdMode::kValuesOnly;
   EXPECT_NE(serve::wire::format_response(12, r).find("mode=values"),
             std::string::npos);
-}
-
-TEST(ServeMode, PrecisionRungDegradesKeepingVectors) {
-  // With the opt-in precision rung enabled, queue pressure degrades to
-  // mixed precision — vectors KEPT — instead of dropping to
-  // eigenvalues-only.
-  serve::ServeOptions sopts;
-  sopts.allow_precision_degraded = true;
-  sopts.degrade_queue_depth = 1;
-  sopts.coalesce_window_ms = 200.0;  // let the burst pile up first
-  serve::ServeCore core(sopts);
-
-  std::vector<serve::Ticket> tickets;
-  for (int i = 0; i < 4; ++i) {
-    Rng rng(900 + i);
-    tickets.push_back(core.submit(random_symmetric(48, rng)));
-  }
-  int degraded = 0;
-  for (auto& t : tickets) {
-    const serve::Response r = t.response.get();
-    ASSERT_TRUE(r.outcome == serve::Outcome::kCompleted ||
-                r.outcome == serve::Outcome::kDegraded)
-        << r.message;
-    if (r.outcome == serve::Outcome::kDegraded) {
-      ++degraded;
-      EXPECT_EQ(r.result.eigenvalues.size(), 48u);
-      // The precision rung keeps eigenvectors — the whole point.
-      EXPECT_EQ(r.result.eigenvectors.cols(), 48);
-      EXPECT_NE(r.mode, plan::EvdMode::kValuesOnly);
-    }
-  }
-  EXPECT_GE(degraded, 1);
-  ASSERT_TRUE(core.drain());
-  const serve::ServeStats s = core.stats();
-  EXPECT_EQ(s.degraded, degraded);
-  EXPECT_EQ(s.precision_degraded, degraded);
-  EXPECT_TRUE(s.accounted());
 }
 
 TEST(BatchMode, PerSlotModesSolveHeterogeneousMix) {
