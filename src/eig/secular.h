@@ -22,8 +22,11 @@ struct SecularRoot {
   index_t base = 0;     // index of the nearest pole used as the shift origin
 };
 
-/// Solve for all k roots. Preconditions: d strictly increasing, all z_i
-/// non-zero, rho > 0. Throws tdg::Error on a malformed problem.
+/// Solve for all k roots (LAPACK dlaed4's rational iteration, in parallel
+/// over roots; bitwise the same at every thread count). Preconditions: d
+/// strictly increasing, all z_i non-zero, rho > 0. Throws tdg::Error on a
+/// malformed problem or when the `secular_root` fault site fires; the
+/// iteration itself always returns a root.
 std::vector<SecularRoot> solve_secular(const std::vector<double>& d,
                                        const std::vector<double>& z,
                                        double rho);

@@ -459,13 +459,19 @@ struct ServeCore::Impl {
         }
         m.batches->inc();
         eig::BatchResult br = eig::eigh_batched(views, bopts);
-        const double per_problem_ms =
-            br.seconds * 1e3 / static_cast<double>(idxs.size());
 
         for (std::size_t j = 0; j < idxs.size(); ++j) {
           std::unique_ptr<Request>& req = batch[idxs[j]];
           if (br.status[j].ok) {
-            if (req->vectors) note_vectors_ms(key, per_problem_ms);
+            // The slot's own solve time: slots run side by side, so the
+            // batch wall time says nothing about one of them.
+            const eig::EvdResult& res = br.results[j];
+            if (req->vectors) {
+              note_vectors_ms(key, 1e3 * (res.seconds_tridiag +
+                                          res.seconds_solver +
+                                          res.seconds_backtransform +
+                                          res.seconds_refine));
+            }
             succeed(std::move(req), std::move(br.results[j]));
           } else {
             route_failure(std::move(req), br.status[j].code,
@@ -493,7 +499,7 @@ struct ServeCore::Impl {
                           depth_at_dispatch > opts.degrade_queue_depth;
     bool deadline_pressure = false;
     if (req.ropts.deadline_ms > 0.0) {
-      const double expect = expected_vectors_ms(req.a.rows());
+      const double expect = expected_vectors_ms(req.a.rows(), req.mode);
       deadline_pressure = expect > 0.0 && req.token->remaining_ms() < expect;
     }
     if (pressure || deadline_pressure) {
@@ -715,9 +721,11 @@ struct ServeCore::Impl {
     return &slot->plan;
   }
 
-  double expected_vectors_ms(index_t n) {
+  /// The EWMA of vectors solves in the bucket `process_batch` files them
+  /// under: the same n, vectors on, the request's own mode.
+  double expected_vectors_ms(index_t n, plan::EvdMode mode) {
     const std::string key = plan::cache_key(
-        plan::ProblemShape{std::max<index_t>(n, 1), true, 0});
+        plan::ProblemShape{std::max<index_t>(n, 1), true, 0, mode});
     std::lock_guard<std::mutex> lk(mu);
     const auto it = solve_ewma_ms.find(key);
     return it == solve_ewma_ms.end() ? 0.0 : it->second;

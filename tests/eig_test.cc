@@ -3,12 +3,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "eig/bisect.h"
 #include "eig/drivers.h"
 #include "eig/eig.h"
 #include "eig/secular.h"
@@ -42,6 +47,19 @@ double eigen_residual(ConstMatrixView t, ConstMatrixView z,
     for (index_t i = 0; i < t.rows; ++i) {
       m = std::max(m, std::abs(tz(i, j) - z(i, j) * w[static_cast<size_t>(j)]));
     }
+  }
+  return m;
+}
+
+constexpr double kEps = std::numeric_limits<double>::epsilon();
+
+// ||T||_inf of the tridiagonal T(d, e).
+double tridiag_norm(const std::vector<double>& d, const std::vector<double>& e) {
+  double m = 0.0;
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    const double left = i > 0 ? std::abs(e[i - 1]) : 0.0;
+    const double right = i + 1 < d.size() ? std::abs(e[i]) : 0.0;
+    m = std::max(m, left + std::abs(d[i]) + right);
   }
   return m;
 }
@@ -145,6 +163,8 @@ TEST_P(StedcTest, MatchesSteqrAndIsOrthogonal) {
   for (auto& x : d) x = rng.normal();
   for (auto& x : e) x = rng.normal();
   const Matrix t = tridiag_dense(d, e);
+  const double bound = 4.0 * static_cast<double>(n) * kEps;
+  const double tnorm = tridiag_norm(d, e);
 
   std::vector<double> d1 = d, e1 = e;
   eig::steqr(d1, e1, nullptr);
@@ -155,11 +175,11 @@ TEST_P(StedcTest, MatchesSteqrAndIsOrthogonal) {
 
   for (index_t i = 0; i < n; ++i) {
     EXPECT_NEAR(d1[static_cast<size_t>(i)], d2[static_cast<size_t>(i)],
-                1e-11 * n)
+                bound * tnorm)
         << i;
   }
-  EXPECT_LT(orthogonality_error(q.view()), 1e-11 * n);
-  EXPECT_LT(eigen_residual(t.view(), q.view(), d2), 1e-11 * n);
+  EXPECT_LT(orthogonality_error(q.view()), bound);
+  EXPECT_LT(eigen_residual(t.view(), q.view(), d2), bound * tnorm);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, StedcTest,
@@ -197,6 +217,196 @@ TEST(Stedc, ZeroCouplingSplitsCleanly) {
   eig::stedc(dd, ee, q.view(), 4);
   EXPECT_LT(eigen_residual(t.view(), q.view(), dd), 1e-12 * n);
 }
+
+TEST(Secular, RootsStrictlyInsideAndMatchBisection) {
+  // Reference: bisect f in the shifted variable about d_j (about d_{k-1}
+  // for the last root) until the bracket stops shrinking.
+  const auto reference = [](const std::vector<double>& d,
+                            const std::vector<double>& z, double rho,
+                            std::size_t j) {
+    const std::size_t k = d.size();
+    double lo = 0.0;
+    double hi = 0.0;
+    if (j + 1 < k) {
+      hi = d[j + 1] - d[j];
+    } else {
+      for (double zi : z) hi += rho * zi * zi;
+      hi *= 2.0;
+    }
+    for (;;) {
+      const double mid = 0.5 * (lo + hi);
+      if (!(mid > lo && mid < hi)) break;
+      double f = 1.0 / rho;
+      for (std::size_t i = 0; i < k; ++i) f += z[i] * z[i] / ((d[i] - d[j]) - mid);
+      (f < 0.0 ? lo : hi) = mid;
+    }
+    return d[j] + 0.5 * (lo + hi);
+  };
+
+  struct Problem {
+    std::vector<double> d, z;
+    double rho;
+  };
+  std::vector<Problem> problems;
+  problems.push_back({{0.0, 1e-14, 1.0}, {0.5, 0.5, 0.7}, 2.0});
+  for (const std::uint64_t seed : {3u, 4u, 5u}) {
+    Rng rng(seed);
+    Problem p;
+    p.d.resize(60);
+    p.z.resize(60);
+    for (auto& x : p.d) x = rng.normal();
+    std::sort(p.d.begin(), p.d.end());
+    double zz = 0.0;
+    for (auto& x : p.z) {
+      x = rng.normal();
+      zz += x * x;
+    }
+    for (auto& x : p.z) x /= std::sqrt(zz);
+    p.rho = 0.5 + rng.uniform();
+    problems.push_back(p);
+  }
+
+  for (const Problem& p : problems) {
+    const auto roots = eig::solve_secular(p.d, p.z, p.rho);
+    const std::size_t k = p.d.size();
+    double dmax = 0.0;
+    for (double x : p.d) dmax = std::max(dmax, std::abs(x));
+    for (std::size_t j = 0; j < k; ++j) {
+      const eig::SecularRoot& r = roots[j];
+      // Strictly inside the interval, read off the offset from the base
+      // pole: lambda itself may round onto a pole.
+      if (j + 1 < k) {
+        const double gap = p.d[j + 1] - p.d[j];
+        ASSERT_TRUE(r.base == static_cast<index_t>(j) ||
+                    r.base == static_cast<index_t>(j + 1))
+            << j;
+        if (r.base == static_cast<index_t>(j)) {
+          EXPECT_GT(r.mu, 0.0) << j;
+          EXPECT_LT(r.mu, gap) << j;
+        } else {
+          EXPECT_LT(r.mu, 0.0) << j;
+          EXPECT_GT(r.mu, -gap) << j;
+        }
+      } else {
+        EXPECT_EQ(r.base, static_cast<index_t>(k - 1));
+        EXPECT_GT(r.mu, 0.0);
+      }
+      EXPECT_NEAR(r.lambda, reference(p.d, p.z, p.rho, j), 4.0 * kEps * dmax)
+          << "root " << j << " of " << k;
+    }
+  }
+}
+
+// One tridiagonal input for the D&C accuracy gate.
+struct StedcInput {
+  std::vector<double> d, e;
+  index_t smlsiz = 8;
+};
+
+StedcInput random_input(index_t n, std::uint64_t seed, double scale,
+                        index_t smlsiz) {
+  StedcInput in;
+  Rng rng(seed);
+  in.d.resize(static_cast<size_t>(n));
+  in.e.resize(static_cast<size_t>(n - 1));
+  for (auto& x : in.d) x = scale * rng.normal();
+  for (auto& x : in.e) x = scale * rng.normal();
+  in.smlsiz = smlsiz;
+  return in;
+}
+
+StedcInput stedc_input(const std::string& name) {
+  if (name.rfind("random_n", 0) == 0) {
+    // The StedcTest inputs.
+    const index_t n = std::stoi(name.substr(8));
+    return random_input(n, 10 + static_cast<std::uint64_t>(n), 1.0, 8);
+  }
+  if (name == "huge") return random_input(100, 71, 1e150, 8);
+  if (name == "tiny") return random_input(100, 72, 1e-150, 8);
+  if (name == "random_1024") return random_input(1024, 73, 1.0, 32);
+  StedcInput in;
+  if (name == "wilkinson_glued") {
+    // 24 copies of W21+ glued by 1e-14: pairs of nearly equal eigenvalues
+    // and heavy deflation in every merge.
+    for (int b = 0; b < 24; ++b) {
+      for (int i = 0; i < 21; ++i) {
+        in.d.push_back(std::abs(10.0 - i));
+        if (i < 20) in.e.push_back(1.0);
+      }
+      if (b < 23) in.e.push_back(1e-14);
+    }
+  } else if (name == "clusters") {
+    // Three clusters of width 1e-12, through a dense Householder reduction.
+    std::vector<double> w;
+    for (const double c : {-1.0, 0.25, 2.0}) {
+      for (int i = 0; i < 32; ++i) w.push_back(c + 1e-12 * i / 31.0);
+    }
+    Rng rng(74);
+    const Matrix a = symmetric_with_spectrum(w, rng);
+    TridiagOptions o;
+    o.method = TridiagMethod::kDirect;
+    o.want_factors = false;
+    const TridiagResult t = tridiagonalize(a.view(), o);
+    in.d = t.d;
+    in.e = t.e;
+  } else if (name == "graded") {
+    for (int i = 0; i < 160; ++i) {
+      in.d.push_back(std::pow(10.0, -0.1 * i));
+      if (i < 159) in.e.push_back(0.5 * std::pow(10.0, -0.1 * i - 0.05));
+    }
+  } else if (name == "laplacian_1024") {
+    in.d.assign(1024, 2.0);
+    in.e.assign(1023, -1.0);
+    in.smlsiz = 32;
+  }
+  return in;
+}
+
+class StedcAccuracy : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(StedcAccuracy, ResidualOrthogonalityEigenvaluesAndThreads) {
+  const StedcInput in = stedc_input(GetParam());
+  const index_t n = static_cast<index_t>(in.d.size());
+  ASSERT_GT(n, 0);
+  const double bound = 4.0 * static_cast<double>(n) * kEps;
+  const double tnorm = tridiag_norm(in.d, in.e);
+
+  const auto run = [&](int threads, std::vector<double>& w, Matrix& q) {
+    ThreadLimit limit(threads);
+    w = in.d;
+    std::vector<double> e = in.e;
+    q = Matrix(n, n);
+    eig::stedc(w, e, q.view(), in.smlsiz);
+  };
+  std::vector<double> w1, w4;
+  Matrix q1, q4;
+  run(1, w1, q1);
+  run(4, w4, q4);
+
+  EXPECT_EQ(std::memcmp(w1.data(), w4.data(), w1.size() * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(q1.data(), q4.data(),
+                        static_cast<std::size_t>(n * n) * sizeof(double)),
+            0);
+
+  EXPECT_LT(eigen_residual(tridiag_dense(in.d, in.e).view(), q1.view(), w1),
+            bound * tnorm);
+  EXPECT_LT(orthogonality_error(q1.view()), bound);
+  const std::vector<double> ref = eig::eigenvalues_bisect(in.d, in.e, 0, n - 1);
+  for (index_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(w1[static_cast<size_t>(i)], ref[static_cast<size_t>(i)],
+                bound * tnorm)
+        << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, StedcAccuracy,
+    ::testing::Values("random_n1", "random_n2", "random_n3", "random_n7",
+                      "random_n8", "random_n9", "random_n16", "random_n17",
+                      "random_n33", "random_n64", "random_n100", "random_n129",
+                      "wilkinson_glued", "clusters", "graded", "huge", "tiny",
+                      "random_1024", "laplacian_1024"),
+    [](const ::testing::TestParamInfo<std::string>& info) { return info.param; });
 
 TEST(Eigh, DirectMatchesSpectrumGenerator) {
   Rng rng(20);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -167,21 +168,37 @@ TEST(Property, EighVectorsDiagonalizeExactly) {
 }
 
 TEST(Property, HugeAndTinyScalesSurvive) {
-  // Scaling robustness: entries around 1e150 and 1e-150 must not overflow
-  // or flush the pipeline (nrm2 is scaled; larfg guards tiny norms).
-  Rng rng(6);
-  const index_t n = 24;
-  for (const double scale : {1e150, 1e-150}) {
-    Matrix a = random_symmetric(n, rng);
+  // Scale robustness: a planted spectrum in [-1, 1] times s must come back
+  // to c n eps s at every scale, with vectors. Entries around 1e150 and
+  // 1e-150 must not overflow or flush the pipeline (nrm2 is scaled; larfg
+  // guards tiny norms), and D&C's deflation must not depend on ||T||.
+  const index_t n = 96;  // above the D&C base case, so merges deflate
+  const double eps = std::numeric_limits<double>::epsilon();
+  std::vector<double> planted(static_cast<size_t>(n));
+  for (index_t i = 0; i < n; ++i) {
+    planted[static_cast<size_t>(i)] =
+        -1.0 + 2.0 * static_cast<double>(i) / static_cast<double>(n - 1);
+  }
+  for (const double scale : {1e150, 1e-150, 1e-8, 1e-12}) {
+    Rng rng(6);
+    Matrix a = symmetric_with_spectrum(planted, rng);
     for (index_t j = 0; j < n; ++j) {
       for (index_t i = 0; i < n; ++i) a(i, j) *= scale;
     }
-    TridiagOptions opts;
-    opts.b = 4;
-    opts.k = 8;
-    const auto w = spectrum(a.view(), opts);
-    for (double x : w) EXPECT_TRUE(std::isfinite(x));
-    EXPECT_GT(std::abs(w.front()) + std::abs(w.back()), 0.0);
+    eig::EvdOptions opts;
+    opts.tridiag.b = 4;
+    opts.tridiag.k = 8;
+    const eig::EvdResult r = eig::eigh(a.view(), opts);
+    ASSERT_EQ(r.eigenvalues.size(), static_cast<size_t>(n));
+    for (index_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(r.eigenvalues[static_cast<size_t>(i)],
+                  scale * planted[static_cast<size_t>(i)],
+                  4.0 * static_cast<double>(n) * eps * scale)
+          << "scale " << scale << ", eigenvalue " << i;
+    }
+    EXPECT_LT(orthogonality_error(r.eigenvectors.view()),
+              4.0 * static_cast<double>(n) * eps)
+        << "scale " << scale;
   }
 }
 

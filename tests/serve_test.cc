@@ -239,6 +239,26 @@ TEST(ServeTest, DegradeDeniedWhenRequestForbidsIt) {
   }
 }
 
+TEST(ServeTest, DeadlineBelowTheModesSolveTimeDegrades) {
+  // The first mixed-precision vectors solve files its own solve time under
+  // its bucket. A second one whose deadline is half that time must be judged
+  // by it, and degrade to eigenvalues-only before it starts.
+  serve::ServeCore core;
+  serve::RequestOptions mixed;
+  mixed.mode = plan::EvdMode::kMixedPrecision;
+  const serve::Response first =
+      core.submit(test_matrix(160, 5), mixed).response.get();
+  ASSERT_EQ(first.outcome, serve::Outcome::kCompleted) << first.message;
+  ASSERT_GT(first.solve_ms, 0.0);
+
+  serve::RequestOptions tight = mixed;
+  tight.deadline_ms = 0.5 * first.solve_ms;
+  const serve::Response second =
+      core.submit(test_matrix(160, 6), tight).response.get();
+  EXPECT_EQ(second.outcome, serve::Outcome::kDegraded) << second.message;
+  EXPECT_EQ(second.result.eigenvectors.cols(), 0);
+}
+
 TEST(ServeTest, TransientFaultRetriesOnceAndCompletes) {
   const Matrix a = test_matrix(64, 9);
   fault::Scoped arm("serve_request", /*trigger=*/1, /*fires=*/1);
