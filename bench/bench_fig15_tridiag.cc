@@ -95,13 +95,17 @@ int main(int argc, char** argv) {
     op.b = 32;
     op.k = 256;
     op.want_factors = false;
+    obs::SolveRecord record;
     WallTimer t3;
-    const TridiagResult r = tridiagonalize(a.view(), op);
+    {
+      obs::RecordScope scope(&record);
+      tridiagonalize(a.view(), op);
+    }
     const double s3 = t3.seconds();
 
     std::printf("%6lld | %12.3f | %12.3f | %12.3f (%.3f + %.3f)\n",
-                static_cast<long long>(n), s1, s2, s3, r.seconds_stage1,
-                r.seconds_stage2);
+                static_cast<long long>(n), s1, s2, s3, record.seconds("dbbr"),
+                record.seconds("bulge_chase"));
   }
 
   print_projection(tdg::gpumodel::h100_sxm());

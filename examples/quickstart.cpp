@@ -28,11 +28,17 @@ int main(int argc, char** argv) {
   topts.method = TridiagMethod::kTwoStageDbbr;  // the paper's method
   topts.b = 32;                                 // bandwidth after stage 1
   topts.k = 256;                                // outer block (syr2k depth)
-  const TridiagResult tri = tridiagonalize(a.view(), topts);
+  // Its stages time themselves into the record installed around the call.
+  obs::SolveRecord record;
+  TridiagResult tri;
+  {
+    obs::RecordScope scope(&record);
+    tri = tridiagonalize(a.view(), topts);
+  }
   std::printf("tridiagonalized n=%lld: stage1 (DBBR) %.3f s, "
               "stage2 (bulge chasing) %.3f s\n",
-              static_cast<long long>(n), tri.seconds_stage1,
-              tri.seconds_stage2);
+              static_cast<long long>(n), record.seconds("dbbr"),
+              record.seconds("bulge_chase"));
   std::printf("T diagonal head: %.4f %.4f %.4f ...\n", tri.d[0], tri.d[1],
               tri.d[2]);
 
@@ -42,8 +48,9 @@ int main(int argc, char** argv) {
   const eig::EvdResult evd = eig::eigh(a.view(), eopts);
   std::printf("eigh: tridiag %.3f s, divide&conquer %.3f s, "
               "back transform %.3f s\n",
-              evd.seconds_tridiag, evd.seconds_solver,
-              evd.seconds_backtransform);
+              evd.profile.seconds("tridiagonalize"),
+              evd.profile.seconds("solver"),
+              evd.profile.seconds("backtransform"));
   std::printf("spectrum: [%.4f, %.4f]\n", evd.eigenvalues.front(),
               evd.eigenvalues.back());
 

@@ -76,8 +76,9 @@ int main(int argc, char** argv) {
                 100.0 * cum);
   }
   std::printf("\ntiming: tridiag %.3f s, solver %.3f s, back transform %.3f s\n",
-              evd.seconds_tridiag, evd.seconds_solver,
-              evd.seconds_backtransform);
+              evd.profile.seconds("tridiagonalize"),
+              evd.profile.seconds("solver"),
+              evd.profile.seconds("backtransform"));
   std::printf("leading %lld components explain %.1f%% of variance "
               "(planted model: they should dominate)\n",
               static_cast<long long>(kPlantedRank), 100.0 * cum);
@@ -97,6 +98,7 @@ int main(int argc, char** argv) {
   std::printf("\neigh_range(top %lld): back transform %.3f s vs %.3f s full; "
               "max |diff| vs full solve = %.2e\n",
               static_cast<long long>(kPlantedRank),
-              top.seconds_backtransform, evd.seconds_backtransform, maxdiff);
+              top.profile.seconds("backtransform"),
+              evd.profile.seconds("backtransform"), maxdiff);
   return 0;
 }

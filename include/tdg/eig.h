@@ -41,5 +41,6 @@
 #include "eig/drivers.h"    // eigh, eigh_range, EvdOptions, EvdResult
 #include "eig/eig.h"        // steqr, stedc (tridiagonal kernels)
 #include "la/matrix.h"      // Matrix, MatrixView, ConstMatrixView
+#include "obs/obs.h"        // obs::SolveRecord, obs::RecordScope (stage times)
 #include "plan/knobs.h"     // plan::Knobs (consolidated knob sub-struct)
 #include "plan/plan.h"      // PlanMode, plan::Plan, plan::plan_for

@@ -83,7 +83,7 @@ void apply_q2_left_blocked(const bc::ChaseLogT<T>& log, MatrixViewT<T> c,
 
   cancel::poll("backtransform_panel");
 
-  obs::Span span("apply_q2");
+  obs::Span span("apply_q2", obs::kStage);
   span.attr("n", log.n);
   span.attr("cols", nc);
   span.attr("group", group);

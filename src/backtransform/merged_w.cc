@@ -96,7 +96,7 @@ void apply_q1_blocked(const sbr::BandFactorT<T>& f, index_t kw,
   TDG_CHECK(kw >= 1, "apply_q1_blocked: kw must be positive");
   if (f.panels.empty()) return;
 
-  obs::Span span("apply_q1");
+  obs::Span span("apply_q1", obs::kStage);
   span.attr("n", f.n);
   span.attr("cols", c.cols);
   span.attr("kw", kw);

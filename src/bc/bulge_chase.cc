@@ -21,7 +21,7 @@ void chase_all_sequential(const Acc& acc, index_t b,
                        {});
   }
   if (b <= 1) return;  // bandwidth 1 is already tridiagonal
-  obs::Span span("bulge_chase");
+  obs::Span span("bulge_chase", obs::kStage);
   span.attr("n", n);
   span.attr("b", b);
   span.attr("nsweeps", std::max<index_t>(n - 2, 0));

@@ -102,7 +102,7 @@ void chase_all_parallel(const Acc& acc, index_t b,
   }
   if (nsweeps == 0 || b <= 1) return;
 
-  obs::Span chase_span("bulge_chase");
+  obs::Span chase_span("bulge_chase", obs::kStage);
   chase_span.attr("n", n);
   chase_span.attr("b", b);
   chase_span.attr("nsweeps", nsweeps);

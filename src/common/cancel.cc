@@ -1,6 +1,5 @@
 #include "common/cancel.h"
 
-#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -42,12 +41,9 @@ void poll(const Token* token, const char* stage) {
 }
 
 int stall_timeout_ms() {
-  static const int v = [] {
-    if (const char* e = std::getenv("TDG_SPIN_TIMEOUT_MS")) {
-      return std::atoi(e);
-    }
-    return kDefaultStallTimeoutMs;
-  }();
+  static const int v = static_cast<int>(
+      env_int("TDG_SPIN_TIMEOUT_MS", std::numeric_limits<int>::min(),
+                   std::numeric_limits<int>::max(), kDefaultStallTimeoutMs));
   return v;
 }
 

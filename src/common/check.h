@@ -16,8 +16,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace tdg {
 
@@ -58,6 +60,17 @@ class Error : public std::runtime_error {
   ErrorCode code_ = ErrorCode::kUnknown;
   ErrorContext ctx_{};
 };
+
+/// All of `s` as a base-10 integer in [lo, hi]; nullopt for anything else
+/// ("", "abc", "2s", "1e3", an overflow).
+std::optional<long long> parse_int(std::string_view s, long long lo,
+                                   long long hi);
+
+/// Integer environment knob `name` in [lo, hi], or `fallback` when unset.
+/// Any other value throws Error(kInvalidInput) naming the variable: a
+/// misspelt knob never falls back silently.
+long long env_int(const char* name, long long lo, long long hi,
+                  long long fallback);
 
 namespace detail {
 [[noreturn]] void check_failed(const char* cond, const char* file, int line,

@@ -1,7 +1,10 @@
 #include "common/fault.h"
 
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
+#include <optional>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -30,11 +33,19 @@ State& state() {
 
 // Arm from the environment before main() so env-driven runs (the CI fault
 // matrix) need no code changes. g_armed is constant-initialized, so the
-// ordering with other static initializers is benign.
+// ordering with other static initializers is benign. A malformed spec stops
+// the process: a fault-matrix row must never pass with nothing armed.
 struct EnvInit {
   EnvInit() {
     if (const char* e = std::getenv("TDG_FAULT_INJECT")) {
-      (void)arm_from_spec(e);
+      if (!arm_from_spec(e)) {
+        std::fprintf(stderr,
+                     "TDG_FAULT_INJECT='%s': expected site[:trigger[:fires]] "
+                     "with trigger and fires positive integers (fires may "
+                     "be *)\n",
+                     e);
+        std::exit(2);
+      }
     }
   }
 };
@@ -98,38 +109,26 @@ void disarm() {
 bool arm_from_spec(const std::string& spec) {
   const auto first = spec.find(':');
   const std::string site = spec.substr(0, first);
-  if (site.empty()) {
+  const auto positive = [](const std::string& s) {
+    return parse_int(s, 1, std::numeric_limits<long long>::max());
+  };
+  std::optional<long long> trigger = 1;
+  std::optional<long long> fires = 1;
+  if (first != std::string::npos) {
+    const auto second = spec.find(':', first + 1);
+    trigger = positive(spec.substr(first + 1, second == std::string::npos
+                                                  ? std::string::npos
+                                                  : second - first - 1));
+    if (second != std::string::npos) {
+      const std::string fires_s = spec.substr(second + 1);
+      fires = fires_s == "*" ? -1 : positive(fires_s);
+    }
+  }
+  if (site.empty() || !trigger || !fires) {
     disarm();
     return false;
   }
-  long long trigger = 1;
-  long long fires = 1;
-  if (first != std::string::npos) {
-    const auto second = spec.find(':', first + 1);
-    const std::string trig_s =
-        spec.substr(first + 1, second == std::string::npos
-                                   ? std::string::npos
-                                   : second - first - 1);
-    char* end = nullptr;
-    trigger = std::strtoll(trig_s.c_str(), &end, 10);
-    if (trig_s.empty() || *end != '\0' || trigger < 1) {
-      disarm();
-      return false;
-    }
-    if (second != std::string::npos) {
-      const std::string fires_s = spec.substr(second + 1);
-      if (fires_s == "*") {
-        fires = -1;
-      } else {
-        fires = std::strtoll(fires_s.c_str(), &end, 10);
-        if (fires_s.empty() || *end != '\0' || fires < 1) {
-          disarm();
-          return false;
-        }
-      }
-    }
-  }
-  arm(site, trigger, fires);
+  arm(site, *trigger, *fires);
   return true;
 }
 

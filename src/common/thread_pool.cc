@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
+#include <limits>
 #include <memory>
 
+#include "common/check.h"
 #include "common/fault.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -108,12 +109,11 @@ void run_serial(index_t begin, index_t end,
 
 int default_threads() {
   static const int v = [] {
-    if (const char* e = std::getenv("TDG_THREADS")) {
-      const int n = std::atoi(e);
-      if (n >= 1) return std::min(n, kMaxThreads);
-    }
     const unsigned hc = std::thread::hardware_concurrency();
-    return std::clamp(static_cast<int>(hc == 0 ? 1 : hc), 1, kMaxThreads);
+    const long long n = env_int("TDG_THREADS", 1,
+                                std::numeric_limits<int>::max(),
+                                hc == 0 ? 1 : hc);
+    return static_cast<int>(std::min<long long>(n, kMaxThreads));
   }();
   return v;
 }

@@ -51,6 +51,7 @@ inline constexpr int kMaxThreads = 64;
 
 /// Threads used when no ThreadLimit is active: TDG_THREADS env var if set,
 /// else std::thread::hardware_concurrency(), clamped to [1, kMaxThreads].
+/// A TDG_THREADS that is not a positive integer throws Error(kInvalidInput).
 int default_threads();
 
 /// Effective thread budget for a kernel dispatched from this thread.

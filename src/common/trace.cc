@@ -55,12 +55,6 @@ std::string to_string(const Op& op) {
   return os.str();
 }
 
-double Recorder::total_flops() const {
-  double s = 0.0;
-  for (const auto& op : ops_) s += flops(op);
-  return s;
-}
-
 Recorder* active() { return g_active; }
 
 void record(const Op& op) {

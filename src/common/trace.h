@@ -49,9 +49,6 @@ class Recorder {
   const std::vector<Op>& ops() const { return ops_; }
   void clear() { ops_.clear(); }
 
-  /// Total FP64 flops across all recorded ops.
-  double total_flops() const;
-
  private:
   std::vector<Op> ops_;
 };

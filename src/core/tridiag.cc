@@ -8,7 +8,6 @@
 #include "backtransform/backtransform.h"
 #include "bc/bulge_chase_parallel.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "lapack/lapack.h"
 #include "obs/obs.h"
 #include "plan/plan.h"
@@ -25,9 +24,7 @@ TridiagResult tridiag_direct(ConstMatrixView a, const TridiagOptions& opts) {
   Matrix work(a.rows, a.cols);
   copy(a, work.view());
 
-  WallTimer t;
   lapack::sytrd(work.view(), r.d, r.e, r.direct_taus, opts.sytrd_nb);
-  r.seconds_stage1 = t.seconds();
   if (opts.want_factors) {
     r.direct_a = std::move(work);
   }
@@ -49,7 +46,6 @@ TridiagResultT<T> tridiagonalize_two_stage(MatrixViewT<T> work,
   // Both stages drive the parallel BLAS-3 engine at the requested width.
   ThreadLimit thread_scope(opts.threads);
 
-  WallTimer t;
   if (opts.method == TridiagMethod::kTwoStageDbbr) {
     sbr::BandReductionOptions bo;
     bo.b = b;
@@ -68,14 +64,12 @@ TridiagResultT<T> tridiagonalize_two_stage(MatrixViewT<T> work,
     bo.want_factors = opts.want_factors;
     r.stage1 = sbr::sy2sb(work, b, bo);
   }
-  r.seconds_stage1 = t.seconds();
 
   // Stage 2 on the packed (Fig.-10) band layout.
   const index_t kd = std::min<index_t>(2 * b, n - 1);
   SymBandMatrixT<T> band = extract_band<T>(work, b, kd);
   bc::ChaseLogT<T>* log = opts.want_factors ? &r.stage2 : nullptr;
 
-  t.reset();
   if (opts.parallel_bc && opts.method == TridiagMethod::kTwoStageDbbr) {
     bc::ParallelChaseOptions po;
     po.threads = opts.bc_threads;
@@ -84,7 +78,6 @@ TridiagResultT<T> tridiagonalize_two_stage(MatrixViewT<T> work,
   } else {
     bc::chase_packed(band, b, log);
   }
-  r.seconds_stage2 = t.seconds();
 
   bc::extract_tridiag(band, r.d, r.e);
   return r;
@@ -106,7 +99,7 @@ void check_lower_finite(ConstMatrixView a, const char* stage) {
 TridiagResult tridiagonalize(ConstMatrixView a, const TridiagOptions& opts) {
   TDG_CHECK(a.rows == a.cols, "tridiagonalize: matrix must be square");
   TDG_CHECK(a.rows >= 1, "tridiagonalize: empty matrix");
-  obs::Span span("tridiagonalize");
+  obs::Span span("tridiagonalize", obs::kStage);
   span.attr("n", a.rows);
   if (opts.check_finite) check_lower_finite(a, "tridiagonalize");
   if (a.rows == 1) {
@@ -136,21 +129,19 @@ TridiagResult tridiagonalize(ConstMatrixView a, const TridiagOptions& opts) {
 
 template <class T>
 void apply_q(const TridiagResultT<T>& r, MatrixViewT<T> c,
-             const ApplyQOptions& opts, ApplyQBreakdown* breakdown) {
+             const ApplyQOptions& opts) {
   const plan::ProblemShape shape{c.rows, true, c.cols};
   plan::PlannerOptions popts;
   popts.threads = opts.threads;
   const ApplyQOptions o =
       plan::resolve(opts, c.rows, plan::plan_for(shape, opts.plan, popts));
   ThreadLimit thread_scope(o.threads);
-  WallTimer t;
   if (r.method == TridiagMethod::kDirect) {
     TDG_CHECK(r.direct_a.rows() == c.rows,
               "apply_q: factors missing or size mismatch");
     if (c.rows >= 3) {
       lapack::apply_sytrd_q_left(r.direct_a.view(), r.direct_taus, c);
     }
-    if (breakdown != nullptr) breakdown->seconds_q1 = t.seconds();
     return;
   }
   TDG_CHECK(r.stage2.n == c.rows, "apply_q: factors missing or size mismatch");
@@ -158,10 +149,7 @@ void apply_q(const TridiagResultT<T>& r, MatrixViewT<T> c,
   // (column-parallel) application; within-sweep reflectors have disjoint
   // row ranges, so it matches the one-at-a-time order bit for bit.
   bt::apply_q2_left_blocked(r.stage2, c, o.knobs.q2_group);
-  if (breakdown != nullptr) breakdown->seconds_q2 = t.seconds();
-  t.reset();
   bt::apply_q1_blocked(r.stage1, o.knobs.bt_kw, c);
-  if (breakdown != nullptr) breakdown->seconds_q1 = t.seconds();
 }
 
 void apply_q(const TridiagResult& r, MatrixView c, index_t bt_kw) {
@@ -174,7 +162,7 @@ void apply_q(const TridiagResult& r, MatrixView c, index_t bt_kw) {
   template TridiagResultT<T> tridiagonalize_two_stage<T>(                   \
       MatrixViewT<T>, const TridiagOptions&);                               \
   template void apply_q<T>(const TridiagResultT<T>&, MatrixViewT<T>,        \
-                           const ApplyQOptions&, ApplyQBreakdown*);
+                           const ApplyQOptions&);
 TDG_INSTANTIATE_TRIDIAG(double)
 TDG_INSTANTIATE_TRIDIAG(float)
 #undef TDG_INSTANTIATE_TRIDIAG

@@ -92,10 +92,6 @@ struct TridiagResultT {
   bc::ChaseLogT<T> stage2;     // two-stage only
   MatrixT<T> direct_a;         // direct only: reflectors in lower tri
   std::vector<T> direct_taus;  // direct only
-
-  // Phase wall-clock (seconds), for benches/examples.
-  double seconds_stage1 = 0.0;  // SBR/DBBR, or the whole sytrd for kDirect
-  double seconds_stage2 = 0.0;  // bulge chasing
 };
 using TridiagResult = TridiagResultT<double>;
 
@@ -106,7 +102,9 @@ using TridiagResult = TridiagResultT<double>;
 /// silent-garbage eigenvalues or a non-convergence deep in the pipeline).
 void check_lower_finite(ConstMatrixView a, const char* stage);
 
-/// Reduce symmetric `a` (lower triangle read) to tridiagonal form.
+/// Reduce symmetric `a` (lower triangle read) to tridiagonal form. Its
+/// stages (the tridiagonalize span, with sytrd, sy2sb or dbbr and
+/// bulge_chase inside) time themselves into the caller's obs::RecordScope.
 TridiagResult tridiagonalize(ConstMatrixView a, const TridiagOptions& opts);
 
 /// The two-stage reduction (opts.method kTwoStageClassic or kTwoStageDbbr)
@@ -130,22 +128,14 @@ struct ApplyQOptions {
   int threads = 0;
 };
 
-/// Per-stage wall times of one apply_q call (profiling). For the direct
-/// method everything lands in seconds_q1 (there is no stage-2 factor).
-struct ApplyQBreakdown {
-  double seconds_q2 = 0.0;  // stage-2 (bulge-chase reflectors) application
-  double seconds_q1 = 0.0;  // stage-1 (band-reduction) application
-};
-
 /// Apply the accumulated orthogonal factor: c <- Q c where A = Q T Q^T.
 /// Requires the result to have been computed with want_factors = true.
 /// `bt_kw`: group width for the stage-1 blocked back transformation.
 void apply_q(const TridiagResult& r, MatrixView c, index_t bt_kw = 256);
 
-/// Same, with the full option set, in the scalar type of the factors;
-/// `breakdown` (optional) receives the per-stage wall times.
+/// Same, with the full option set, in the scalar type of the factors.
 template <class T>
 void apply_q(const TridiagResultT<T>& r, MatrixViewT<T> c,
-             const ApplyQOptions& opts, ApplyQBreakdown* breakdown = nullptr);
+             const ApplyQOptions& opts);
 
 }  // namespace tdg

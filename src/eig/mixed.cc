@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/timer.h"
 #include "core/tridiag.h"
 #include "eig/eig.h"
 #include "obs/obs.h"
@@ -22,51 +21,58 @@ MixedOutcome eigh_mixed(ConstMatrixView a, const plan::ResolvedPipeline& cfg,
   // --- FP32 stages 1+2: the resolved two-stage reduction on a float copy
   // of A. The one-stage sytrd has no float instantiation, so a plan that
   // picked it (small n) runs DBBR.
-  WallTimer t;
-  MatrixT<float> af = converted<float>(a);
-  TridiagOptions tri_opts = cfg.tridiag;
-  if (tri_opts.method == TridiagMethod::kDirect) {
-    tri_opts.method = TridiagMethod::kTwoStageDbbr;
+  MatrixT<float> af;
+  TridiagResultT<float> tri;
+  {
+    obs::Span tri_span("tridiagonalize", obs::kStage);
+    tri_span.attr("n", n);
+    af = converted<float>(a);
+    TridiagOptions tri_opts = cfg.tridiag;
+    if (tri_opts.method == TridiagMethod::kDirect) {
+      tri_opts.method = TridiagMethod::kTwoStageDbbr;
+    }
+    tri = tridiagonalize_two_stage(af.view(), tri_opts);
   }
-  TridiagResultT<float> tri = tridiagonalize_two_stage(af.view(), tri_opts);
-  out.seconds_tridiag = t.seconds();
   cancel::poll("solver");
 
   // --- FP64 middle: solve the tridiagonal problem at full precision (cheap
   // relative to the reduction; keeps the solver's deflation and convergence
   // logic in its tested precision).
-  t.reset();
-  out.eigenvalues = std::move(tri.d);
-  std::vector<double> e = std::move(tri.e);
-  Matrix z(n, n);
-  try {
-    if (use_dc) {
-      stedc(out.eigenvalues, e, z.view(), cfg.smlsiz);
-    } else {
-      z = Matrix::identity(n);
-      MatrixView zv = z.view();
-      steqr(out.eigenvalues, e, &zv);
+  Matrix z;
+  {
+    obs::Span solver_span("solver", obs::kStage);
+    solver_span.attr("n", n);
+    out.eigenvalues = std::move(tri.d);
+    std::vector<double> e = std::move(tri.e);
+    z = Matrix(n, n);
+    try {
+      if (use_dc) {
+        stedc(out.eigenvalues, e, z.view(), cfg.smlsiz);
+      } else {
+        z = Matrix::identity(n);
+        MatrixView zv = z.view();
+        steqr(out.eigenvalues, e, &zv);
+      }
+    } catch (const Error& err) {
+      if (err.code() != ErrorCode::kNoConvergence) throw;
+      return out;  // ok = false: the driver reruns in FP64
     }
-  } catch (const Error& err) {
-    if (err.code() != ErrorCode::kNoConvergence) throw;
-    out.seconds_solver = t.seconds();
-    return out;  // ok = false: the driver reruns in FP64
   }
-  out.seconds_solver = t.seconds();
   cancel::poll("backtransform");
 
   // --- FP32 back transformation: V = Q1 (Q2 Z).
-  t.reset();
-  MatrixT<float> zf = converted<float>(z.view());
-  apply_q(tri, zf.view(), cfg.applyq);
-  out.eigenvectors = converted<double>(zf.view());
-  out.seconds_backtransform = t.seconds();
+  MatrixT<float> zf;
+  {
+    obs::Span bt_span("backtransform", obs::kStage);
+    bt_span.attr("n", n);
+    zf = converted<float>(z.view());
+    apply_q(tri, zf.view(), cfg.applyq);
+    out.eigenvectors = converted<double>(zf.view());
+  }
 
   // --- FP64 refinement with residual acceptance.
-  t.reset();
   out.refine = refine_eigenpairs(a, out.eigenvalues,
                                  out.eigenvectors.view(), cfg.refine);
-  out.seconds_refine = t.seconds();
   out.ok = out.refine.converged;
   span.attr("refine_iters", out.refine.iters);
   span.attr("ok", out.ok ? 1 : 0);

@@ -70,7 +70,7 @@ RefineOutcome refine_eigenpairs(ConstMatrixView a, std::vector<double>& w,
   // converge", so the caller takes the real fp32->fp64 recovery path.
   if (fault::should_fire("evd_refine")) return out;
 
-  obs::Span span("evd_refine");
+  obs::Span span("evd_refine", obs::kStage);
   span.attr("n", n);
 
   // The sweeps need A's full symmetric content for the AX / X^T A X GEMMs.

@@ -1,6 +1,7 @@
 #include "gpumodel/trace_cost.h"
 
 #include <algorithm>
+#include <map>
 
 namespace tdg::gpumodel {
 
@@ -251,16 +252,28 @@ std::vector<Op> trace_q2_apply(index_t n, index_t b, index_t nc) {
 }
 
 std::vector<Op> trace_stedc(index_t n, index_t smlsiz) {
+  // The merge tree stedc runs: a node of size m > smlsiz splits at
+  // m1 = m / 2 and multiplies each nonzero block of diag(Q1, Q2) into the
+  // merge's secular eigenvector columns — (m1 x m x m1) and (m2 x m x m2)
+  // when nothing deflates, the most a merge can cost. The merges of one
+  // tree level run side by side, so each level's equal shapes batch.
+  std::vector<std::map<index_t, index_t>> levels;  // per depth: m -> count
+  const auto visit = [&](const auto& self, index_t m, std::size_t depth) {
+    if (m <= smlsiz) return;
+    if (levels.size() <= depth) levels.resize(depth + 1);
+    ++levels[depth][m];
+    self(self, m / 2, depth + 1);
+    self(self, m - m / 2, depth + 1);
+  };
+  visit(visit, n, 0);
   std::vector<Op> t;
-  // Merge levels bottom-up: at level with subproblem size m (doubling from
-  // smlsiz to n), each merge applies an (m x m x m) eigenvector GEMM.
-  for (index_t m = smlsiz * 2; m <= n; m *= 2) {
-    const index_t count = std::max<index_t>(1, n / m);
-    emit(t, OpKind::kBatchedGemm, m, m, m, count);
-  }
-  if (n > smlsiz && (n & (n - 1)) != 0) {
-    // Non-power-of-two tail: one final full-size merge.
-    emit(t, OpKind::kBatchedGemm, n, n, n, 1);
+  for (auto level = levels.rbegin(); level != levels.rend(); ++level) {
+    for (const auto& [m, count] : *level) {
+      const index_t m1 = m / 2;
+      const index_t m2 = m - m1;
+      emit(t, OpKind::kBatchedGemm, m1, m, m1, count);
+      emit(t, OpKind::kBatchedGemm, m2, m, m2, count);
+    }
   }
   return t;
 }

@@ -46,8 +46,9 @@ std::vector<trace::Op> trace_bt_blocked(index_t n, index_t b, index_t kw,
 /// the shape MAGMA's dormqr-stage batches into.)
 std::vector<trace::Op> trace_q2_apply(index_t n, index_t b, index_t nc);
 
-/// Coarse trace of divide & conquer (stedc): one batched eigenvector-update
-/// GEMM per merge level (deflation ignored, i.e. worst case).
+/// Trace of divide & conquer (stedc): per merge of its tree, one GEMM per
+/// nonzero block of diag(Q1, Q2), batched across each tree level; no
+/// deflation, i.e. the most stedc records for that tree.
 std::vector<trace::Op> trace_stedc(index_t n, index_t smlsiz = 32);
 
 }  // namespace tdg::gpumodel

@@ -116,7 +116,7 @@ void sytrd(MatrixView a, std::vector<double>& d, std::vector<double>& e,
   taus.assign(static_cast<std::size_t>(std::max<index_t>(n - 1, 0)), 0.0);
   if (n == 0) return;
 
-  obs::Span span("sytrd");
+  obs::Span span("sytrd", obs::kStage);
   span.attr("n", n);
   span.attr("nb", nb);
 

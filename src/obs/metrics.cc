@@ -6,9 +6,11 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <thread>
 
+#include "common/check.h"
 #include "common/json.h"
 
 namespace tdg::obs {
@@ -388,9 +390,13 @@ struct PromEnvInit {
     (void)Registry::global();
     PromWriter& w = PromWriter::get();
     w.path = path;
-    if (const char* iv = std::getenv("TDG_METRICS_PROM_INTERVAL_MS")) {
-      const int ms = std::atoi(iv);
-      if (ms > 0) w.interval_ms = ms;
+    try {
+      w.interval_ms = static_cast<int>(
+          env_int("TDG_METRICS_PROM_INTERVAL_MS", 1,
+                  std::numeric_limits<int>::max(), w.interval_ms));
+    } catch (const Error& err) {  // read before main(): no caller to catch
+      std::fprintf(stderr, "%s\n", err.what());
+      std::exit(2);
     }
     w.worker = std::thread([&w] { w.run(); });
     std::atexit(+[] {

@@ -38,6 +38,7 @@
 #include "gpumodel/bc_pipeline_model.h"
 #include "gpumodel/kernel_model.h"
 #include "la/generate.h"
+#include "obs/obs.h"
 #include "plan/plan_cache.h"
 
 namespace tdg::plan {
@@ -152,6 +153,9 @@ Plan clamped_for(const Plan& p, index_t n) {
 
 double time_candidate(const Plan& cand, ConstMatrixView proxy, bool vectors,
                       index_t reps) {
+  // Planning is not a stage of the solve that asked for it: the proxy runs
+  // record into no solve record.
+  obs::RecordScope unrecorded(nullptr);
   double best = -1.0;
   for (index_t r = 0; r < std::max<index_t>(reps, 1); ++r) {
     WallTimer t;

@@ -309,7 +309,7 @@ BandFactorT<T> dbbr(MatrixViewT<T> a, const BandReductionOptions& opts) {
   // reduction (JIT panel GEMMs, symm, and the fat trailing syr2k).
   ThreadLimit thread_scope(opts.threads);
 
-  obs::Span dbbr_span("dbbr");
+  obs::Span dbbr_span("dbbr", obs::kStage);
   dbbr_span.attr("n", n);
   dbbr_span.attr("b", b);
   dbbr_span.attr("k", k);

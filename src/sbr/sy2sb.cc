@@ -198,7 +198,7 @@ BandFactorT<T> sy2sb(MatrixViewT<T> a, index_t b,
   // reduction (panel symm and the per-panel trailing syr2k).
   ThreadLimit thread_scope(opts.threads);
 
-  obs::Span sy2sb_span("sy2sb");
+  obs::Span sy2sb_span("sy2sb", obs::kStage);
   sy2sb_span.attr("n", n);
   sy2sb_span.attr("b", b);
 

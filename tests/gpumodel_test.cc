@@ -10,6 +10,7 @@
 #include "backtransform/backtransform.h"
 #include "common/rng.h"
 #include "common/trace.h"
+#include "eig/eig.h"
 #include "gpumodel/bc_pipeline_model.h"
 #include "gpumodel/kernel_model.h"
 #include "gpumodel/trace_cost.h"
@@ -208,6 +209,64 @@ INSTANTIATE_TEST_SUITE_P(Sizes, DbbrTraceFidelity,
                                            std::tuple{65, 8, 16, false},
                                            std::tuple{51, 4, 16, true},
                                            std::tuple{96, 16, 32, false}));
+
+// stedc records one GEMM per nonzero block of diag(Q1, Q2) at each merge,
+// (m1 x k x k - k3) and (m2 x k x k - k1) over its k surviving columns;
+// deflation only shrinks them, so the synthetic trace — the same tree with
+// nothing deflated — bounds the recorded flops and meets them when every
+// merge kept all of its columns (k = m1 + m2).
+TEST(StedcTraceFidelity, RecordedMergesNeverExceedSynthetic) {
+  struct Case {
+    index_t n;
+    index_t smlsiz;
+    bool glued;  // near-copies of one block: merges deflate heavily
+  };
+  bool saw_undeflated = false;
+  for (const Case c : {Case{40, 8, false}, Case{77, 8, false},
+                       Case{129, 16, false}, Case{96, 8, true}}) {
+    Rng rng(17 + c.n);
+    std::vector<double> d(static_cast<std::size_t>(c.n));
+    std::vector<double> e(static_cast<std::size_t>(c.n - 1));
+    for (index_t i = 0; i < c.n; ++i) {
+      d[static_cast<std::size_t>(i)] =
+          c.glued ? 1.0 + static_cast<double>(i % 12) : rng.uniform(-1, 1);
+      if (i + 1 < c.n) {
+        e[static_cast<std::size_t>(i)] =
+            c.glued && (i + 1) % 12 == 0 ? 1e-14 : rng.uniform(-1, 1);
+      }
+    }
+    Matrix q(c.n, c.n);
+    trace::Recorder rec;
+    {
+      trace::Scope scope(rec);
+      eig::stedc(d, e, q.view(), c.smlsiz);
+    }
+    double synthetic = 0.0;
+    std::int64_t blocks = 0;  // two per merge of the tree
+    for (const trace::Op& op : gpumodel::trace_stedc(c.n, c.smlsiz)) {
+      synthetic += trace::flops(op);
+      blocks += op.batch;
+    }
+    // A merge that deflated every column records nothing.
+    const std::vector<trace::Op>& ops = rec.ops();
+    ASSERT_EQ(ops.size() % 2, 0u);
+    bool deflated = static_cast<std::int64_t>(ops.size()) != blocks;
+    for (std::size_t i = 0; i < ops.size(); i += 2) {
+      deflated = deflated || ops[i].n != ops[i].m + ops[i + 1].m;
+    }
+    double recorded = 0.0;
+    for (const trace::Op& op : ops) recorded += trace::flops(op);
+    EXPECT_LE(recorded, synthetic) << "n=" << c.n;
+    if (!deflated) {
+      EXPECT_EQ(recorded, synthetic) << "n=" << c.n;
+      saw_undeflated = true;
+    }
+    if (c.glued) {
+      EXPECT_TRUE(deflated);
+    }
+  }
+  EXPECT_TRUE(saw_undeflated);
+}
 
 TEST(BackTransformTraceFidelity, AllVariants) {
   Rng rng(4);

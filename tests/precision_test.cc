@@ -112,7 +112,7 @@ void expect_mixed_meets_bound(const Matrix& a, const char* what) {
   if (res.mode == plan::EvdMode::kMixedPrecision) {
     EXPECT_TRUE(res.recovery.empty()) << what << ": " << res.recovery;
     EXPECT_GE(res.refine_iters, 1) << what;
-    EXPECT_GT(res.seconds_backtransform, 0.0) << what;
+    EXPECT_GT(res.profile.seconds("backtransform"), 0.0) << what;
   } else {
     EXPECT_EQ(res.mode, plan::EvdMode::kStandard) << what;
     EXPECT_EQ(res.recovery.rfind("fp32->fp64", 0), 0u)
@@ -192,7 +192,7 @@ TEST(MixedPrecision, AcceptedWithoutFallbackOverSeveralDbbrBlocks) {
     EXPECT_TRUE(r.recovery.empty()) << threads << ": " << r.recovery;
     EXPECT_GE(r.refine_iters, 1) << threads;
     EXPECT_LE(r.refine_iters, 2) << threads;
-    EXPECT_GT(r.seconds_backtransform, 0.0) << threads;
+    EXPECT_GT(r.profile.seconds("backtransform"), 0.0) << threads;
     ASSERT_EQ(r.eigenvectors.cols(), n);
     EXPECT_LE(evd_residual(a.view(), r.eigenvectors.view(), r.eigenvalues),
               acceptance_bound(a.view()))
