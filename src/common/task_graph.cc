@@ -228,6 +228,11 @@ TaskGraph::Stats TaskGraph::run() {
   // must not block a worker on the pool's own queue).
   const int budget = current_threads();
   const bool serial = total == 0 || budget <= 1 || in_pool_task();
+  // Read before any node is posted: a malformed TDG_SPIN_TIMEOUT_MS throws,
+  // and a throw from the drain loop would unwind the caller's buffers under
+  // running pooled nodes.
+  const int stall_ms =
+      stall_timeout_ms_ >= 0 ? stall_timeout_ms_ : cancel::stall_timeout_ms();
 
   st->ctx = obs::current_context();
 
@@ -300,9 +305,6 @@ TaskGraph::Stats TaskGraph::run() {
       // become ready — poison the graph (unstarted nodes cancel, never
       // execute) and surface a typed kPipelineStall naming the first
       // unfinished node instead of hanging the driver thread.
-      const int stall_ms = stall_timeout_ms_ >= 0
-                               ? stall_timeout_ms_
-                               : cancel::stall_timeout_ms();
       const double t0 = obs::now_us();
       const long long before = st->done;
       const auto progressed = [&] {
